@@ -219,7 +219,7 @@ func Results(rs []JobResult) ([]*Result, error) {
 // the same error as a direct Compile, without paying for (or caching) a
 // decomposition that can never route.
 func compileJob(ctx context.Context, cache *frontCache, j Job) (*Result, error) {
-	if err := checkFits(j.Input, j.Graph); err != nil {
+	if err := checkFits(j.Input.NumQubits, j.Graph); err != nil {
 		return nil, err
 	}
 	prepared, metrics, cached, err := cache.get(j.Input, j.FrontKey, j.Opts)

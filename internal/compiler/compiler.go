@@ -299,11 +299,7 @@ func initialLayout(c *circuit.Circuit, g *topo.Graph, opts Options, cm device.Co
 // weighted-path tables; under Uniform both are nil and every router runs its
 // legacy hop-count code path unchanged.
 func pickRouter(opts Options, trioAware bool, cm device.CostModel, g *topo.Graph) (route.Router, error) {
-	weight := cm.Weight()
-	var oracle *topo.WeightedOracle
-	if weight != nil {
-		oracle = cm.Oracle(g)
-	}
+	weight, oracle := routerWeights(cm, g)
 	switch opts.Router {
 	case RouteDirect:
 		if trioAware {

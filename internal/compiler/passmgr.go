@@ -4,6 +4,8 @@
 // pipeline variants are assembled from the same pass vocabulary (decompose,
 // layout, route, optimize, schedule, stats) instead of new monoliths, and
 // every compilation records per-pass wall-clock and gate-count metrics.
+// The pass lists are the only implementation of the pipeline: Compile runs
+// them on the whole circuit and StreamCompile (stream.go) window by window.
 package compiler
 
 import (
@@ -47,11 +49,19 @@ type PassContext struct {
 	// may be shared with concurrent compilations via the batch front cache).
 	Circuit *circuit.Circuit
 	// Init is the initial virtual->physical placement, set by the layout
-	// pass; Final tracks the placement after routing SWAPs.
+	// pass; Final tracks the placement after the main routing pass's SWAPs.
+	// A fixup pass routes over physical positions in its own session, whose
+	// movement finalPlacement composes on top of Final.
 	Init  *layout.Layout
 	Final *layout.Layout
 	// SwapsAdded accumulates routing SWAPs (before 3-CX expansion).
 	SwapsAdded int
+	// main and fixup are the incremental routing sessions of the main and
+	// fixup routing passes. A pass starts its session on the first circuit
+	// it routes and feeds it every later one, so a context fed a program
+	// window by window routes it exactly as one circuit; Compile is such a
+	// context fed one window.
+	main, fixup *route.Session
 	// Metrics collects one entry per executed pass.
 	Metrics []PassMetric
 	// ScheduledDuration is filled by the optional Schedule pass: the ASAP
@@ -148,18 +158,21 @@ func (pm *PassManager) Passes() []Pass { return pm.passes }
 // ctx.Metrics. The first failing pass aborts the pipeline, as does
 // cancellation of ctx.Ctx at any pass boundary.
 func (pm *PassManager) Run(ctx *PassContext) error {
+	// Passes never mutate their input, so each pass's after-snapshot is
+	// the next one's before-snapshot.
+	after := ctx.Circuit.CollectStats()
 	for _, p := range pm.passes {
 		if ctx.Ctx != nil {
 			if err := ctx.Ctx.Err(); err != nil {
 				return fmt.Errorf("compiler: %s pipeline cancelled before pass %s: %w", pm.label, p.Name(), err)
 			}
 		}
-		before := ctx.Circuit.CollectStats()
+		before := after
 		start := time.Now()
 		if err := p.Run(ctx, ctx.Circuit); err != nil {
 			return fmt.Errorf("compiler: %s pipeline, pass %s: %w", pm.label, p.Name(), err)
 		}
-		after := ctx.Circuit.CollectStats()
+		after = ctx.Circuit.CollectStats()
 		ctx.Metrics = append(ctx.Metrics, PassMetric{
 			Pass:           p.Name(),
 			Duration:       time.Since(start),
@@ -276,15 +289,7 @@ func PlacePass() Pass {
 // PlacePass; trioAware selects the Trios-capable router variants.
 func RoutePass(trioAware bool) Pass {
 	return NewPass("route:main", func(ctx *PassContext, c *circuit.Circuit) error {
-		cm, err := ctx.costModel()
-		if err != nil {
-			return err
-		}
-		router, err := pickRouter(ctx.Opts, trioAware, cm, ctx.Graph)
-		if err != nil {
-			return err
-		}
-		routed, err := router.Route(c, ctx.Graph, ctx.Init)
+		routed, err := routeMain(ctx, c, trioAware)
 		if err != nil {
 			return err
 		}
@@ -293,6 +298,52 @@ func RoutePass(trioAware bool) Pass {
 		ctx.SwapsAdded += routed.SwapsAdded
 		return nil
 	})
+}
+
+// incremental is a router that can route a circuit window by window
+// (route.Baseline and route.Trios).
+type incremental interface {
+	Begin(g *topo.Graph, initial *layout.Layout) (*route.Session, error)
+}
+
+// routeMain routes c with the configured router. An incremental router
+// runs in the context's main session: the first circuit begins it at
+// ctx.Init and every later one continues it, so a context fed a program
+// window by window routes it exactly as one circuit. The layer-based
+// routers need the whole circuit and route c on its own.
+func routeMain(ctx *PassContext, c *circuit.Circuit, trioAware bool) (*route.Result, error) {
+	if ctx.main == nil {
+		cm, err := ctx.costModel()
+		if err != nil {
+			return nil, err
+		}
+		router, err := pickRouter(ctx.Opts, trioAware, cm, ctx.Graph)
+		if err != nil {
+			return nil, err
+		}
+		inc, ok := router.(incremental)
+		if !ok {
+			return router.Route(c, ctx.Graph, ctx.Init)
+		}
+		if ctx.main, err = inc.Begin(ctx.Graph, ctx.Init); err != nil {
+			return nil, err
+		}
+	}
+	return feed(ctx.main, c, ctx.Graph)
+}
+
+// feed routes c as the next window of session s: the result holds the
+// window's routed gates and SWAPs and the session's live placement.
+func feed(s *route.Session, c *circuit.Circuit, g *topo.Graph) (*route.Result, error) {
+	swaps := s.Swaps()
+	if err := s.Feed(c.Gates); err != nil {
+		return nil, err
+	}
+	return &route.Result{
+		Circuit:    &circuit.Circuit{NumQubits: g.NumQubits(), Gates: s.Drain(nil)},
+		Final:      s.Layout(),
+		SwapsAdded: s.Swaps() - swaps,
+	}, nil
 }
 
 // GroupsRoutePass routes any-arity gate groups with the cluster router.
@@ -311,54 +362,64 @@ func GroupsRoutePass() Pass {
 }
 
 // FixupRoutePass patches gates a second decomposition left on non-adjacent
-// qubits: it routes the current circuit over physical positions (identity
-// layout), then composes the resulting movement into ctx.Final. The router
-// is seeded with Seed+1 to decorrelate it from the main routing pass.
-func FixupRoutePass(r func(ctx *PassContext) (route.Router, error)) Pass {
+// qubits: it routes the current circuit over physical positions in the
+// context's fixup session, which begin starts at the identity layout on
+// first use. finalPlacement composes the session's movement onto the main
+// route's placement.
+func FixupRoutePass(begin func(ctx *PassContext) (*route.Session, error)) Pass {
 	return NewPass("route:fixup", func(ctx *PassContext, c *circuit.Circuit) error {
-		router, err := r(ctx)
-		if err != nil {
-			return err
+		if ctx.fixup == nil {
+			s, err := begin(ctx)
+			if err != nil {
+				return err
+			}
+			ctx.fixup = s
 		}
-		fixed, err := router.Route(c, ctx.Graph, layout.Identity(ctx.Graph.NumQubits()))
-		if err != nil {
-			return err
-		}
-		// Compose placements: v -> main-route final -> fixup final.
-		n := ctx.Graph.NumQubits()
-		final := make([]int, n)
-		for v := 0; v < n; v++ {
-			final[v] = fixed.Final.Phys(ctx.Final.Phys(v))
-		}
-		composed, err := layout.FromVirtualToPhys(final)
+		fixed, err := feed(ctx.fixup, c, ctx.Graph)
 		if err != nil {
 			return err
 		}
 		ctx.Circuit = fixed.Circuit
-		ctx.Final = composed
 		ctx.SwapsAdded += fixed.SwapsAdded
 		return nil
 	})
 }
 
-// baselineFixupRouter is the Trios pipeline's fixup: a pairwise router that
+// finalPlacement is where each virtual qubit ends: main is its placement
+// after the main routing pass, and a fixup session, which routes over
+// physical positions, moves it on from there.
+func finalPlacement(main *layout.Layout, fixup *route.Session) []int {
+	final := main.VirtualToPhys()
+	if fixup != nil {
+		for v, p := range final {
+			final[v] = fixup.Layout().Phys(p)
+		}
+	}
+	return final
+}
+
+// baselineFixup is the Trios pipeline's fixup: a pairwise router that
 // patches the non-adjacent CNOTs a forced 6-CNOT decomposition leaves. It
-// scores against the same cost model as the main routing pass.
-func baselineFixupRouter(ctx *PassContext) (route.Router, error) {
+// scores against the same cost model as the main routing pass and is
+// seeded with Seed+1 to decorrelate it from the main routing pass.
+func baselineFixup(ctx *PassContext) (*route.Session, error) {
 	cm, err := ctx.costModel()
 	if err != nil {
 		return nil, err
 	}
 	w, oracle := routerWeights(cm, ctx.Graph)
-	return &route.Baseline{Seed: ctx.Opts.Seed + 1, Weight: w, Oracle: oracle}, nil
+	r := &route.Baseline{Seed: ctx.Opts.Seed + 1, Weight: w, Oracle: oracle}
+	return r.Begin(ctx.Graph, layout.Identity(ctx.Graph.NumQubits()))
 }
 
-// triosFixupRouter is the Groups pipeline's fixup: a trio-aware router that
-// patches the stray pairs and Toffolis of an in-place MCX expansion. Like
-// the Groups main router it is noise-blind (the experimental pipeline has no
-// weighted mode), so its output never depends on the cost model.
-func triosFixupRouter(ctx *PassContext) (route.Router, error) {
-	return &route.Trios{Seed: ctx.Opts.Seed + 1}, nil
+// triosFixup is the Groups pipeline's fixup: a trio-aware router, seeded
+// with Seed+1, that patches the stray pairs and Toffolis of an in-place MCX
+// expansion. Like the Groups main router it is noise-blind (the
+// experimental pipeline has no weighted mode), so its output never depends
+// on the cost model.
+func triosFixup(ctx *PassContext) (*route.Session, error) {
+	r := &route.Trios{Seed: ctx.Opts.Seed + 1}
+	return r.Begin(ctx.Graph, layout.Identity(ctx.Graph.NumQubits()))
 }
 
 // ---- Optimize passes ----
@@ -481,19 +542,38 @@ func StatsPass() Pass {
 
 // ---- Pipeline construction ----
 
-// FrontPasses returns the device-independent prefix of the pipeline for
-// opts: input optimization (when enabled) followed by the first
-// decomposition. Its output depends only on the input circuit, the pipeline
-// kind, the Toffoli mode, and the Optimize flag — never on the device graph,
-// placement, or seed — which is what lets the batch engine deduplicate it
-// across (device x seed x placement) fan-outs.
-func FrontPasses(opts Options) ([]Pass, error) {
-	var ps []Pass
+// passPlan is the pass list for one set of options, cut where a windowed
+// compile cuts it. Compile runs the parts in order on the whole circuit;
+// StreamCompile runs front, route and after on every window (place only on
+// the first) and skips close, whose passes need the whole program.
+type passPlan struct {
+	// front is the device-independent prefix: input optimization (when
+	// enabled) and the first decomposition. Its output depends only on the
+	// input circuit, the pipeline kind, the Toffoli mode, and the Optimize
+	// flag — never on the device graph, placement, or seed — which is what
+	// lets the batch engine deduplicate it across (device x seed x
+	// placement) fan-outs.
+	front []Pass
+	// place chooses the initial placement; route is the main routing pass.
+	place, route Pass
+	// after is the rest of the per-gate work: second decomposition and
+	// fixup routing, the routed-circuit rewrite, lowering, and output
+	// optimization.
+	after []Pass
+	// close is the whole-circuit tail: fidelity estimate and stats.
+	close []Pass
+}
+
+// planPasses builds the pass plan for opts.
+func planPasses(opts Options) (*passPlan, error) {
+	plan := &passPlan{place: PlacePass()}
+	// legacy selects the pre-rewrite-engine optimizer passes.
+	legacy := opts.Optimizer == OptimizerLegacy
 	if opts.Optimize {
-		if opts.Optimizer == OptimizerLegacy {
-			ps = append(ps, OptimizeInputPass())
+		if legacy {
+			plan.front = append(plan.front, OptimizeInputPass())
 		} else {
-			ps = append(ps, SaturateInputPass())
+			plan.front = append(plan.front, SaturateInputPass())
 		}
 	}
 	switch opts.Pipeline {
@@ -502,85 +582,64 @@ func FrontPasses(opts Options) ([]Pass, error) {
 		if mode == decompose.Auto {
 			mode = decompose.Six // Qiskit's default Toffoli expansion
 		}
-		ps = append(ps, DecomposeToffoliAll(mode))
+		plan.front = append(plan.front, DecomposeToffoliAll(mode))
+		plan.route = RoutePass(false)
 	case TriosPipeline:
-		if opts.Mode != decompose.Auto && opts.Mode != decompose.Six && opts.Mode != decompose.Eight {
-			return nil, fmt.Errorf("compiler: unsupported toffoli mode %v", opts.Mode)
-		}
-		ps = append(ps, DecomposeKeepToffoli())
-	case GroupsPipeline:
-		ps = append(ps, DecomposeKeepMultiQubit())
-	default:
-		return nil, fmt.Errorf("compiler: unknown pipeline %d", int(opts.Pipeline))
-	}
-	return ps, nil
-}
-
-// BackPasses returns the device-dependent remainder of the pipeline for
-// opts: placement, routing, second decomposition, lowering, and output
-// optimization.
-func BackPasses(opts Options) ([]Pass, error) {
-	// Under the saturating optimizer a routed-circuit rewrite pass runs just
-	// before lowering, where SWAPs and intact Toffolis are still visible.
-	saturating := opts.Optimize && opts.Optimizer != OptimizerLegacy
-	lower := []Pass{LowerPass()}
-	if saturating {
-		lower = []Pass{SaturateRoutedPass(), LowerPass()}
-	}
-	var ps []Pass
-	switch opts.Pipeline {
-	case Conventional:
-		ps = append(ps, PlacePass(), RoutePass(false))
-		ps = append(ps, lower...)
-	case TriosPipeline:
-		ps = append(ps, PlacePass(), RoutePass(true))
+		plan.front = append(plan.front, DecomposeKeepToffoli())
+		plan.route = RoutePass(true)
 		switch opts.Mode {
 		case decompose.Six:
 			// Forced 6-CNOT: decompose, then patch non-adjacent CNOTs with a
 			// fixup routing pass over physical positions.
-			ps = append(ps, MappingAwarePass(decompose.Six), FixupRoutePass(baselineFixupRouter))
+			plan.after = append(plan.after, MappingAwarePass(decompose.Six), FixupRoutePass(baselineFixup))
 		case decompose.Auto, decompose.Eight:
-			ps = append(ps, MappingAwarePass(opts.Mode))
+			plan.after = append(plan.after, MappingAwarePass(opts.Mode))
 		default:
 			return nil, fmt.Errorf("compiler: unsupported toffoli mode %v", opts.Mode)
 		}
-		ps = append(ps, lower...)
 	case GroupsPipeline:
-		ps = append(ps,
-			PlacePass(),
-			GroupsRoutePass(),
+		plan.front = append(plan.front, DecomposeKeepMultiQubit())
+		plan.route = GroupsRoutePass()
+		plan.after = append(plan.after,
 			ExpandMCXPass(),
-			FixupRoutePass(triosFixupRouter),
+			FixupRoutePass(triosFixup),
 			MappingAwarePass(decompose.Auto))
-		ps = append(ps, lower...)
 	default:
 		return nil, fmt.Errorf("compiler: unknown pipeline %d", int(opts.Pipeline))
 	}
+	// Under the saturating optimizer a routed-circuit rewrite pass runs just
+	// before lowering, where SWAPs and intact Toffolis are still visible.
+	if opts.Optimize && !legacy {
+		plan.after = append(plan.after, SaturateRoutedPass())
+	}
+	plan.after = append(plan.after, LowerPass())
 	if opts.Optimize {
-		if opts.Optimizer == OptimizerLegacy {
-			ps = append(ps, OptimizeOutputPass())
+		if legacy {
+			plan.after = append(plan.after, OptimizeOutputPass())
 		} else {
-			ps = append(ps, SaturateOutputPass())
+			plan.after = append(plan.after, SaturateOutputPass())
 		}
 	}
 	if opts.Calibration != nil {
-		ps = append(ps, FidelityPass(opts.Calibration))
+		plan.close = append(plan.close, FidelityPass(opts.Calibration))
 	}
-	ps = append(ps, StatsPass())
-	return ps, nil
+	plan.close = append(plan.close, StatsPass())
+	return plan, nil
+}
+
+// back is the plan's device-dependent remainder, in pipeline order.
+func (plan *passPlan) back() []Pass {
+	ps := append([]Pass{plan.place, plan.route}, plan.after...)
+	return append(ps, plan.close...)
 }
 
 // PipelinePasses returns the complete pass list (front + back) for opts.
 func PipelinePasses(opts Options) ([]Pass, error) {
-	front, err := FrontPasses(opts)
+	plan, err := planPasses(opts)
 	if err != nil {
 		return nil, err
 	}
-	back, err := BackPasses(opts)
-	if err != nil {
-		return nil, err
-	}
-	return append(front, back...), nil
+	return append(plan.front, plan.back()...), nil
 }
 
 // PrepareFront validates the input and runs only the front passes,
@@ -590,38 +649,39 @@ func PrepareFront(input *circuit.Circuit, opts Options) (*circuit.Circuit, []Pas
 	if err := input.Validate(); err != nil {
 		return nil, nil, err
 	}
-	front, err := FrontPasses(opts)
+	plan, err := planPasses(opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	ctx := &PassContext{Opts: opts, Circuit: input}
-	pm := NewPassManager(opts.Pipeline.String()+"-front", front...)
+	pm := NewPassManager(opts.Pipeline.String()+"-front", plan.front...)
 	if err := pm.Run(ctx); err != nil {
 		return nil, nil, err
 	}
 	return ctx.Circuit, ctx.Metrics, nil
 }
 
-// checkFits rejects circuits with more qubits than the device has.
-func checkFits(input *circuit.Circuit, g *topo.Graph) error {
-	if input.NumQubits > g.NumQubits() {
-		return fmt.Errorf("compiler: circuit needs %d qubits, device %s has %d", input.NumQubits, g.Name(), g.NumQubits())
+// checkFits rejects programs with more qubits than the device has.
+func checkFits(numQubits int, g *topo.Graph) error {
+	if numQubits > g.NumQubits() {
+		return fmt.Errorf("compiler: circuit needs %d qubits, device %s has %d", numQubits, g.Name(), g.NumQubits())
 	}
 	return nil
 }
 
-// compileFrom runs the pipeline for opts. When prepared is non-nil it is
-// the (possibly cached) output of the front passes for this input and
-// configuration, and the front is skipped; frontMetrics carries the metrics
-// to attribute to it. Cancelling stdctx aborts at the next pass boundary.
-func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, frontMetrics []PassMetric, g *topo.Graph, opts Options) (*Result, error) {
-	if err := checkFits(input, g); err != nil {
+// prepare is the validation and one-time setup every compile of a
+// numQubits-qubit program for g under opts runs first, whether the program
+// arrives whole (Compile) or window by window (StreamCompile). It checks
+// the program fits, resolves the cost model once, and verifies that
+// whatever calibration is in play characterizes this device: a noise model
+// missing couplings would otherwise surface as unreachable-path routing
+// failures deep inside a pass. It then builds the device's distance oracle
+// (idempotent), so the layout and routing passes run on table lookups and
+// the one-time build is not misattributed to whichever pass queried first.
+func prepare(numQubits int, g *topo.Graph, opts Options) (device.CostModel, error) {
+	if err := checkFits(numQubits, g); err != nil {
 		return nil, err
 	}
-	// Resolve the cost model once and verify up front that whatever
-	// calibration is in play actually characterizes this device: a noise
-	// model missing couplings would otherwise surface as unreachable-path
-	// routing failures deep inside a pass.
 	cm, err := opts.costModel()
 	if err != nil {
 		return nil, err
@@ -635,6 +695,19 @@ func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, front
 		if err := nm.Calibration().CheckGraph(g); err != nil {
 			return nil, err
 		}
+	}
+	g.EnsureOracle()
+	return cm, nil
+}
+
+// compileFrom runs the pipeline for opts. When prepared is non-nil it is
+// the (possibly cached) output of the front passes for this input and
+// configuration, and the front is skipped; frontMetrics carries the metrics
+// to attribute to it. Cancelling stdctx aborts at the next pass boundary.
+func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, frontMetrics []PassMetric, g *topo.Graph, opts Options) (*Result, error) {
+	cm, err := prepare(input.NumQubits, g, opts)
+	if err != nil {
+		return nil, err
 	}
 	// Template fast path: a source holding a precompiled fragment for this
 	// exact (input, device, options) serves it without running the pipeline;
@@ -652,10 +725,6 @@ func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, front
 			return res, nil
 		}
 	}
-	// Build the device's distance oracle up front (idempotent): the layout
-	// and routing passes then run on pure table lookups, and the one-time
-	// build cost is not misattributed to whichever pass queried first.
-	g.EnsureOracle()
 	ctx := &PassContext{Ctx: stdctx, Graph: g, Opts: opts, Cost: cm}
 	if prepared != nil {
 		ctx.Circuit = prepared
@@ -667,11 +736,11 @@ func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, front
 		}
 		ctx.Circuit, ctx.Metrics = c, metrics
 	}
-	back, err := BackPasses(opts)
+	plan, err := planPasses(opts)
 	if err != nil {
 		return nil, err
 	}
-	pm := NewPassManager(opts.Pipeline.String(), back...)
+	pm := NewPassManager(opts.Pipeline.String(), plan.back()...)
 	if err := pm.Run(ctx); err != nil {
 		return nil, err
 	}
@@ -679,7 +748,7 @@ func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, front
 		Input:             input,
 		Physical:          ctx.Circuit,
 		Initial:           ctx.Init.VirtualToPhys(),
-		Final:             ctx.Final.VirtualToPhys(),
+		Final:             finalPlacement(ctx.Final, ctx.fixup),
 		SwapsAdded:        ctx.SwapsAdded,
 		Graph:             g,
 		Passes:            ctx.Metrics,

@@ -1,8 +1,8 @@
-// Streaming facade: StreamCompile runs the windowed bounded-memory pipeline
-// (internal/stream) under the compiler's option vocabulary, threading the
-// same cost model, distance oracle, and per-pass metric reporting the
-// monolithic path uses. The monolithic Compile stays the golden arm:
-// with Optimize off the streamed output is byte-identical to
+// Streaming facade: StreamCompile runs the compiler's own pass list on a
+// program window by window, with internal/stream reading the windows and
+// emitting the compiled gates. The routing passes keep their sessions in
+// the PassContext, so every window continues the live placement the last
+// one left: with Optimize off the streamed output is byte-identical to
 // qasm.Emit(Compile(...).Physical) for any window size, and with Optimize
 // on it is simulation-equivalent (per-window saturation differs from
 // global saturation).
@@ -12,10 +12,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"time"
 
-	"trios/internal/circuit"
-	"trios/internal/layout"
-	"trios/internal/obs"
 	"trios/internal/stream"
 	"trios/internal/topo"
 )
@@ -48,7 +46,9 @@ type StreamResult struct {
 	// ScheduledDuration is the ASAP makespan (us) of the emitted program,
 	// accumulated incrementally across windows.
 	ScheduledDuration float64
-	// Passes aggregates each streaming stage across all windows.
+	// Passes sums each pass over all windows, between the reading
+	// (read:qasm) and the scheduling and emission (schedule:asap+emit) of
+	// the windows.
 	Passes []PassMetric
 	// CostModel names the cost model that drove layout and routing.
 	CostModel string
@@ -69,57 +69,139 @@ func StreamCompile(ctx context.Context, src io.Reader, dst io.Writer, g *topo.Gr
 	if opts.Router != RouteDirect {
 		return nil, fmt.Errorf("compiler: router %v is not streamable (layer-based routers need the whole circuit); use Compile", opts.Router)
 	}
-	cm, err := opts.costModel()
+	plan, err := planPasses(opts.Options)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Calibration != nil {
-		if err := opts.Calibration.CheckGraph(g); err != nil {
-			return nil, err
+	label := opts.Pipeline.String()
+	wc := &windowed{g: g, opts: opts.Options}
+	wc.front.passes = NewPassManager(label, plan.front...)
+	wc.route.passes = NewPassManager(label, plan.route)
+	wc.route.first = NewPassManager(label, plan.place, plan.route)
+	wc.back.passes = NewPassManager(label, plan.after...)
+	drive := stream.Serial
+	if opts.Parallel {
+		drive = stream.Pipelined
+	}
+	if err := drive(ctx, src, dst, opts.Window, wc); err != nil {
+		return nil, err
+	}
+	return wc.result(), nil
+}
+
+// windowed is the stream.Compiler of a StreamCompile: the pass plan cut
+// into the stream's three compile stages. Each stage runs its passes in its
+// own PassContext, fed every window in circuit order, so the route stage's
+// context continues the main routing session and the back stage's the
+// fixup session.
+type windowed struct {
+	g    *topo.Graph
+	opts Options
+	// front runs the front passes; route places (on window 0) and routes;
+	// back runs every pass after routing.
+	front, route, back windowStage
+	// res is filled as windows are emitted; readTime and emitTime sum the
+	// time spent reading and emitting them.
+	res                StreamResult
+	readTime, emitTime time.Duration
+}
+
+// windowStage is one compile stage of a windowed compile.
+type windowStage struct {
+	ctx PassContext
+	// first runs on window 0 (passes when nil); passes on every other.
+	first, passes *PassManager
+	// totals sums the stage's pass metrics over the windows done so far.
+	totals []PassMetric
+}
+
+// run compiles w with the stage's passes and adds their metrics to the
+// stage's totals.
+func (s *windowStage) run(w *stream.Window) error {
+	pm := s.passes
+	if w.Index == 0 && s.first != nil {
+		pm = s.first
+	}
+	s.ctx.Circuit = w.Circuit
+	s.ctx.Metrics = s.ctx.Metrics[:0]
+	if err := pm.Run(&s.ctx); err != nil {
+		return err
+	}
+	// Hand the window on without keeping it: a stage holds no gates
+	// between windows.
+	w.Circuit, s.ctx.Circuit = s.ctx.Circuit, nil
+	s.totals = addMetrics(s.totals, s.ctx.Metrics)
+	return nil
+}
+
+// addMetrics adds each metric of ms to the total of the same pass name in
+// totals, appending passes not seen before.
+func addMetrics(totals, ms []PassMetric) []PassMetric {
+next:
+	for _, m := range ms {
+		for i := range totals {
+			if t := &totals[i]; t.Pass == m.Pass {
+				t.Duration += m.Duration
+				t.GatesBefore += m.GatesBefore
+				t.GatesAfter += m.GatesAfter
+				t.TwoQubitBefore += m.TwoQubitBefore
+				t.TwoQubitAfter += m.TwoQubitAfter
+				continue next
+			}
 		}
+		totals = append(totals, m)
 	}
-	weight, oracle := routerWeights(cm, g)
-	cfg := stream.Config{
-		Graph:           g,
-		TrioAware:       opts.Pipeline == TriosPipeline,
-		Mode:            opts.Mode,
-		Seed:            opts.Seed,
-		Optimize:        opts.Optimize,
-		LegacyOptimizer: opts.Optimizer == OptimizerLegacy,
-		Weight:          weight,
-		Oracle:          oracle,
-		Window:          opts.Window,
-		Parallel:        opts.Parallel,
-		Span:            obs.SpanFromContext(ctx),
-		Place: func(first *circuit.Circuit) (*layout.Layout, error) {
-			return initialLayout(first, g, opts.Options, cm)
-		},
-	}
-	res, err := stream.Compile(ctx, src, dst, cfg)
+	return totals
+}
+
+// Begin runs the validation Compile runs, once the program's register size
+// is known, and gives every stage the resolved cost model.
+func (wc *windowed) Begin(n int) (int, error) {
+	cm, err := prepare(n, wc.g, wc.opts)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	out := &StreamResult{
-		InputQubits:       res.InputQubits,
-		NumQubits:         res.NumQubits,
-		InputGates:        res.InputGates,
-		EmittedGates:      res.EmittedGates,
-		Windows:           res.Windows,
-		SwapsAdded:        res.SwapsAdded,
-		Initial:           res.Initial,
-		Final:             res.Final,
-		ScheduledDuration: res.ScheduledDuration,
-		CostModel:         cm.Name(),
+	for _, s := range []*windowStage{&wc.front, &wc.route, &wc.back} {
+		s.ctx.Graph, s.ctx.Opts, s.ctx.Cost = wc.g, wc.opts, cm
 	}
-	for _, m := range res.Stages {
-		out.Passes = append(out.Passes, PassMetric{
-			Pass:           m.Stage,
-			Duration:       m.Duration,
-			GatesBefore:    m.GatesIn,
-			GatesAfter:     m.GatesOut,
-			TwoQubitBefore: -1, // not tracked per stream stage
-			TwoQubitAfter:  -1,
-		})
-	}
-	return out, nil
+	wc.res.InputQubits = n
+	wc.res.NumQubits = wc.g.NumQubits()
+	wc.res.CostModel = cm.Name()
+	return wc.g.NumQubits(), nil
+}
+
+func (wc *windowed) Decompose(w *stream.Window) error { return wc.front.run(w) }
+func (wc *windowed) Route(w *stream.Window) error     { return wc.route.run(w) }
+func (wc *windowed) Lower(w *stream.Window) error     { return wc.back.run(w) }
+
+// Emitted tallies the window's reading and emission.
+func (wc *windowed) Emitted(w *stream.Window) {
+	wc.res.Windows++
+	wc.res.InputGates += w.InputGates
+	wc.res.EmittedGates += len(w.Circuit.Gates)
+	wc.res.ScheduledDuration = w.Makespan
+	wc.readTime += w.ReadTime
+	wc.emitTime += w.EmitTime
+}
+
+// result assembles the StreamResult once every window has been emitted.
+// The read and emit metrics take their gate counts from the passes next to
+// them: what the first front pass saw and what the last back pass left.
+func (wc *windowed) result() *StreamResult {
+	res := &wc.res
+	res.Initial = wc.route.ctx.Init.VirtualToPhys()
+	res.Final = finalPlacement(wc.route.ctx.Final, wc.back.ctx.fixup)
+	res.SwapsAdded = wc.route.ctx.SwapsAdded + wc.back.ctx.SwapsAdded
+	in, out := wc.front.totals[0], wc.back.totals[len(wc.back.totals)-1]
+	read := PassMetric{Pass: "read:qasm", Duration: wc.readTime,
+		GatesBefore: in.GatesBefore, GatesAfter: in.GatesBefore,
+		TwoQubitBefore: in.TwoQubitBefore, TwoQubitAfter: in.TwoQubitBefore}
+	emit := PassMetric{Pass: "schedule:asap+emit", Duration: wc.emitTime,
+		GatesBefore: out.GatesAfter, GatesAfter: out.GatesAfter,
+		TwoQubitBefore: out.TwoQubitAfter, TwoQubitAfter: out.TwoQubitAfter}
+	res.Passes = append([]PassMetric{read}, wc.front.totals...)
+	res.Passes = append(res.Passes, wc.route.totals...)
+	res.Passes = append(res.Passes, wc.back.totals...)
+	res.Passes = append(res.Passes, emit)
+	return res
 }

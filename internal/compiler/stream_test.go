@@ -3,13 +3,20 @@ package compiler
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"trios/internal/circuit"
 	"trios/internal/decompose"
+	"trios/internal/device"
 	"trios/internal/qasm"
 	"trios/internal/sim"
 	"trios/internal/topo"
@@ -329,5 +336,179 @@ func TestStreamRejectsRegisterGrowth(t *testing.T) {
 		t.Fatal("StreamCompile accepted a register-growing stream")
 	} else if !strings.Contains(err.Error(), "strict register bounds") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// optimizedStreamDigests pins the optimize-on streamed output, which no
+// monolithic compile reproduces (per-window saturation differs from global
+// saturation). Each digest covers the emitted bytes and the reported
+// placements and SWAP count; the serial and pipelined drivers must both
+// produce it.
+var optimizedStreamDigests = map[string]string{
+	"baseline/auto/saturate/w64":   "fdbe689806b349b7",
+	"baseline/auto/saturate/w1024": "956448e538abb6ad",
+	"baseline/auto/legacy/w64":     "ef3be5ca1ff23f19",
+	"baseline/auto/legacy/w1024":   "7e895ebb3f5dd0a6",
+	"trios/auto/saturate/w64":      "af15009172f70e66",
+	"trios/auto/saturate/w1024":    "cf9ce0fb75c074c8",
+	"trios/auto/legacy/w64":        "7b64bc7a9007fcb9",
+	"trios/auto/legacy/w1024":      "7afec03bc3aea25d",
+	"trios/6-cnot/saturate/w64":    "caac8629954c46b8",
+	"trios/6-cnot/saturate/w1024":  "c471381491c79dcc",
+	"trios/6-cnot/legacy/w64":      "e2d46d363f00938b",
+	"trios/6-cnot/legacy/w1024":    "9e4a86a53a0df9b3",
+	"trios/8-cnot/saturate/w64":    "11fb4910903495a3",
+	"trios/8-cnot/saturate/w1024":  "ef818c0f52041186",
+	"trios/8-cnot/legacy/w64":      "a7ff0c60525f7607",
+	"trios/8-cnot/legacy/w1024":    "aa2ee492113111ea",
+}
+
+// TestStreamOptimizedDigestsPinned holds the optimize-on stream to its
+// recorded output across both pipelines, every Trios Toffoli mode, both
+// optimizers, two window sizes and both drivers. The device is the
+// clusters topology, whose triangles make the auto Toffoli mode differ
+// from both forced modes.
+func TestStreamOptimizedDigestsPinned(t *testing.T) {
+	src, err := qasm.Emit(mixedCircuit(18, 3000, 19))
+	if err != nil {
+		t.Fatalf("Emit: %v", err)
+	}
+	g := topo.Clusters5x4()
+	type shape struct {
+		pipeline Pipeline
+		mode     decompose.ToffoliMode
+	}
+	shapes := []shape{
+		{Conventional, decompose.Auto},
+		{TriosPipeline, decompose.Auto},
+		{TriosPipeline, decompose.Six},
+		{TriosPipeline, decompose.Eight},
+	}
+	for _, sh := range shapes {
+		for _, optimizer := range []OptimizerKind{OptimizerSaturate, OptimizerLegacy} {
+			for _, window := range []int{64, 1024} {
+				key := fmt.Sprintf("%v/%v/%v/w%d", sh.pipeline, sh.mode, optimizer, window)
+				for _, parallel := range []bool{false, true} {
+					opts := StreamOptions{Window: window, Parallel: parallel}
+					opts.Pipeline = sh.pipeline
+					opts.Mode = sh.mode
+					opts.Optimize = true
+					opts.Optimizer = optimizer
+					opts.Seed = 4
+					var out bytes.Buffer
+					res, err := StreamCompile(context.Background(), strings.NewReader(src), &out, g, opts)
+					if err != nil {
+						t.Fatalf("%s parallel=%v: %v", key, parallel, err)
+					}
+					fmt.Fprintf(&out, "swaps=%d initial=%v final=%v", res.SwapsAdded, res.Initial, res.Final)
+					sum := sha256.Sum256(out.Bytes())
+					got := hex.EncodeToString(sum[:8])
+					if want := optimizedStreamDigests[key]; got != want {
+						t.Errorf("%s parallel=%v: digest %s, want %s", key, parallel, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStreamRejectsForeignCostModel: a cost model built on another
+// device's calibration must be refused up front with the same calibration
+// error Compile returns, not surface later as a routing failure.
+func TestStreamRejectsForeignCostModel(t *testing.T) {
+	cal, err := device.ByName("line-synthetic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := topo.Johannesburg()
+	src := "qreg q[8];\nccx q[0], q[1], q[2];\ncx q[2], q[6];\ncx q[7], q[0];\n"
+	input, err := qasm.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := StreamOptions{}
+	opts.Pipeline = TriosPipeline
+	opts.CostModel = device.NoiseFor(cal)
+	_, want := Compile(input, g, opts.Options)
+	if want == nil {
+		t.Fatal("Compile accepted a cost model for another device")
+	}
+	for _, parallel := range []bool{false, true} {
+		opts.Parallel = parallel
+		_, err := StreamCompile(context.Background(), strings.NewReader(src), &bytes.Buffer{}, g, opts)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("parallel=%v: StreamCompile error %v, want %v", parallel, err, want)
+		}
+	}
+}
+
+// streamWithin runs StreamCompile and fails the test if it has not
+// returned within a minute. StreamCompile joins every stage goroutine
+// before returning, so a return proves the whole driver shut down.
+func streamWithin(t *testing.T, ctx context.Context, src io.Reader, opts StreamOptions) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := StreamCompile(ctx, src, io.Discard, topo.Johannesburg(), opts)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(time.Minute):
+		t.Fatal("StreamCompile did not return")
+		return nil
+	}
+}
+
+// TestStreamPipelinedRegisterGrowthLate: a register-growth error found in a
+// late window comes back from the pipelined driver as that error, while
+// earlier windows are still in flight in the later stages.
+func TestStreamPipelinedRegisterGrowthLate(t *testing.T) {
+	c := mixedCircuitOpt(6, 2000, 5, false)
+	src, err := qasm.Emit(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src += "h q[9];\n"
+	opts := StreamOptions{Window: 32, Parallel: true}
+	opts.Pipeline = TriosPipeline
+	want := fmt.Sprintf("gate %d references a qubit beyond the declared 6-qubit register", len(c.Gates))
+	err = streamWithin(t, context.Background(), strings.NewReader(src), opts)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
+// cancelAfter is a source that cancels its context once n bytes have been
+// read from it, then keeps serving the rest of the program.
+type cancelAfter struct {
+	r      io.Reader
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Read(p []byte) (int, error) {
+	k, err := c.r.Read(p)
+	if c.n -= k; c.n <= 0 {
+		c.cancel()
+	}
+	return k, err
+}
+
+// TestStreamPipelinedCancelMidStream: cancelling the context while the
+// pipelined driver is mid-stream returns context.Canceled.
+func TestStreamPipelinedCancelMidStream(t *testing.T) {
+	src, err := qasm.Emit(mixedCircuitOpt(6, 20000, 9, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := StreamOptions{Window: 64, Parallel: true}
+	opts.Pipeline = TriosPipeline
+	err = streamWithin(t, ctx, &cancelAfter{r: strings.NewReader(src), n: len(src) / 4, cancel: cancel}, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -71,9 +71,6 @@ func (ss *Session) Drain(dst []circuit.Gate) []circuit.Gate {
 	return dst
 }
 
-// Pending reports how many routed gates are waiting to be drained.
-func (ss *Session) Pending() int { return len(ss.s.out.Gates) }
-
 // Layout returns the live placement after everything fed so far — the
 // window-boundary handoff. The caller must not mutate it; copy to keep a
 // snapshot.

@@ -201,8 +201,14 @@ func TestHTTPHealthzDraining(t *testing.T) {
 
 func TestHTTPMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t)
-	postCompile(t, ts, CompileRequest{Benchmark: "bv-20", Topology: "line", Seed: seedp(2)})
-	postCompile(t, ts, CompileRequest{Benchmark: "bv-20", Topology: "line", Seed: seedp(2)})
+	for i := 0; i < 2; i++ {
+		// A response is counted once its handler returns, which the client
+		// only observes at the end of the body: read it all before scraping.
+		resp := postCompile(t, ts, CompileRequest{Benchmark: "bv-20", Topology: "line", Seed: seedp(2)})
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -2,118 +2,28 @@ package stream
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"strconv"
 	"sync"
+	"time"
 
 	"trios/internal/circuit"
-	"trios/internal/decompose"
+	"trios/internal/obs"
 	"trios/internal/qasm"
 	"trios/internal/sched"
 )
 
-// Compile runs a windowed compile: QASM read from src, compiled output
-// written to dst incrementally. Cancelling ctx aborts at the next window
-// boundary. See the package comment for the equivalence guarantees.
-func Compile(ctx context.Context, src io.Reader, dst io.Writer, cfg Config) (*Result, error) {
-	r, err := newRun(src, dst, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Parallel {
-		err = r.runParallel(ctx)
-	} else {
-		err = r.runSerial(ctx)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return r.finish(), nil
-}
-
-// newRun validates the configuration and resolves the decomposition modes
-// the same way the monolithic pipeline does.
-func newRun(src io.Reader, dst io.Writer, cfg Config) (*run, error) {
-	if cfg.Graph == nil {
-		return nil, fmt.Errorf("stream: Config.Graph is required")
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
-	r := &run{
-		cfg:    cfg,
-		g:      cfg.Graph,
-		out:    dst,
-		times:  cfg.Times,
-		byName: make(map[string]*StageMetric),
-	}
-	if r.times == (sched.GateTimes{}) {
-		r.times = sched.JohannesburgTimes()
-	}
-	if cfg.TrioAware {
-		switch cfg.Mode {
-		case decompose.Auto, decompose.Six, decompose.Eight:
-			r.maMode = cfg.Mode
-		default:
-			return nil, fmt.Errorf("stream: unsupported toffoli mode %v", cfg.Mode)
-		}
-	} else {
-		r.frontMode = cfg.Mode
-		if r.frontMode == decompose.Auto {
-			r.frontMode = decompose.Six // Qiskit's default Toffoli expansion
-		}
-	}
-	// Build the distance oracle up front so routing runs on table lookups
-	// and the one-time cost is not attributed to the first window.
-	r.g.EnsureOracle()
-	r.reader = qasm.NewReader(src)
-	return r, nil
-}
-
-// newWindow wraps a read gate slice with its trace span.
-func (r *run) newWindow(idx int, gates []circuit.Gate) *window {
-	sp := r.cfg.Span.Child("stream:window")
-	sp.SetAttr("window", strconv.Itoa(idx))
-	sp.SetAttr("gates.in", strconv.Itoa(len(gates)))
-	return &window{idx: idx, c: wrap(r.n, gates), span: sp}
-}
-
-// produce reads windows and hands each to sink until the stream ends.
-// Window 0 is always produced, even for a gate-less program, so the
-// placement and output header happen exactly once.
-func (r *run) produce(ctx context.Context, sink func(*window) error) error {
-	for idx := 0; ; idx++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		gates, done, err := r.readWindow()
-		if err != nil {
-			return err
-		}
-		if r.n == 0 { // gate-less stream: pin from the declaration alone
-			if err := r.pinRegister(); err != nil {
-				return err
-			}
-		}
-		if done && len(gates) == 0 && idx > 0 {
-			return nil
-		}
-		r.windows = idx + 1
-		if err := sink(r.newWindow(idx, gates)); err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-}
-
-// runSerial drives every stage in one goroutine, window by window. This is
-// the reference ordering; the parallel driver must match it bit for bit.
-func (r *run) runSerial(ctx context.Context) error {
-	return r.produce(ctx, func(w *window) error {
-		for _, stage := range []func(*window) error{r.stageFront, r.stageRoute, r.stageBack, r.stageEmit} {
+// Serial compiles the QASM program read from src to dst in windows of size
+// gates (DefaultWindow when size is not positive), in one goroutine: each
+// window is read, compiled by c and emitted before the next is read. This
+// is the reference ordering; Pipelined must match it bit for bit.
+// Cancelling ctx aborts at the next window boundary; each window records a
+// child of the trace span in ctx, if any.
+func Serial(ctx context.Context, src io.Reader, dst io.Writer, size int, c Compiler) error {
+	r := newRun(ctx, src, dst, size, c)
+	stages := r.stages()
+	return r.produce(ctx, func(w *Window) error {
+		for _, stage := range stages {
 			if err := stage(w); err != nil {
 				return err
 			}
@@ -122,18 +32,20 @@ func (r *run) runSerial(ctx context.Context) error {
 	})
 }
 
-// runParallel connects the stages with channels: read, decompose, route,
-// lower, and emit each own a goroutine, so one window decomposes while the
-// previous routes. Channel capacity 1 bounds the in-flight windows (and so
-// memory) to a small constant multiple of the window size; FIFO order
-// makes the result identical to runSerial at any core count, because every
-// stateful stage still sees windows in circuit order.
-func (r *run) runParallel(ctx context.Context) error {
+// Pipelined is Serial with the stages connected by channels: read,
+// decompose, route, lower, and emit each own a goroutine, so one window
+// decomposes while the previous routes. Channel capacity 1 bounds the
+// in-flight windows (and so memory) to a small constant multiple of the
+// window size; FIFO order makes the result identical to Serial at any core
+// count, because every stage still sees windows in circuit order. It
+// returns only after every stage goroutine has exited.
+func Pipelined(ctx context.Context, src io.Reader, dst io.Writer, size int, c Compiler) error {
+	r := newRun(ctx, src, dst, size, c)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	chans := [4]chan *window{}
+	chans := [4]chan *Window{}
 	for i := range chans {
-		chans[i] = make(chan *window, 1)
+		chans[i] = make(chan *Window, 1)
 	}
 	errc := make(chan error, 5)
 	var wg sync.WaitGroup
@@ -143,7 +55,7 @@ func (r *run) runParallel(ctx context.Context) error {
 	go func() {
 		defer wg.Done()
 		defer close(chans[0])
-		err := r.produce(ctx, func(w *window) error {
+		err := r.produce(ctx, func(w *Window) error {
 			select {
 			case chans[0] <- w:
 				return nil
@@ -158,7 +70,7 @@ func (r *run) runParallel(ctx context.Context) error {
 	}()
 
 	// Middle and terminal stages.
-	mid := func(in <-chan *window, out chan<- *window, fn func(*window) error) {
+	mid := func(in <-chan *Window, out chan<- *Window, fn func(*Window) error) {
 		defer wg.Done()
 		if out != nil {
 			defer close(out)
@@ -186,11 +98,15 @@ func (r *run) runParallel(ctx context.Context) error {
 			}
 		}
 	}
-	wg.Add(4)
-	go mid(chans[0], chans[1], r.stageFront)
-	go mid(chans[1], chans[2], r.stageRoute)
-	go mid(chans[2], chans[3], r.stageBack)
-	go mid(chans[3], nil, r.stageEmit)
+	stages := r.stages()
+	wg.Add(len(stages))
+	for i, stage := range stages {
+		var out chan<- *Window
+		if i+1 < len(chans) {
+			out = chans[i+1]
+		}
+		go mid(chans[i], out, stage)
+	}
 
 	wg.Wait()
 	select {
@@ -201,36 +117,68 @@ func (r *run) runParallel(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// finish assembles the Result after a successful run: the routing
-// session(s) are closed, and in Six mode the fixup movement is composed
-// onto the main route's final placement exactly as FixupRoutePass does.
-func (r *run) finish() *Result {
-	res := &Result{
-		InputQubits:       r.n,
-		NumQubits:         r.g.NumQubits(),
-		InputGates:        r.read,
-		EmittedGates:      r.emitted,
-		Windows:           r.windows,
-		ScheduledDuration: r.makespan,
-		Initial:           r.init.VirtualToPhys(),
+// newRun prepares a windowed compile of src to dst.
+func newRun(ctx context.Context, src io.Reader, dst io.Writer, size int, c Compiler) *run {
+	if size <= 0 {
+		size = DefaultWindow
 	}
-	main := r.sess.Finish()
-	res.SwapsAdded = main.SwapsAdded
-	if r.fixup != nil {
-		fres := r.fixup.Finish()
-		res.SwapsAdded += fres.SwapsAdded
-		n := r.g.NumQubits()
-		final := make([]int, n)
-		for v := 0; v < n; v++ {
-			final[v] = fres.Final.Phys(main.Final.Phys(v))
+	return &run{
+		c:      c,
+		reader: qasm.NewReader(src),
+		out:    dst,
+		size:   size,
+		span:   obs.SpanFromContext(ctx),
+		times:  sched.JohannesburgTimes(),
+	}
+}
+
+// stages lists the stages after reading, in order: the compiler's three,
+// then emission.
+func (r *run) stages() [4]func(*Window) error {
+	return [4]func(*Window) error{
+		compileStage(r.c.Decompose, "gates.decomposed"),
+		compileStage(r.c.Route, "gates.routed"),
+		compileStage(r.c.Lower, "gates.lowered"),
+		r.stageEmit,
+	}
+}
+
+// produce reads windows and hands each to sink until the stream ends.
+// Window 0 is always produced, even for a gate-less program, so the
+// placement and output header happen exactly once.
+func (r *run) produce(ctx context.Context, sink func(*Window) error) error {
+	for idx := 0; ; idx++ {
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		res.Final = final
-	} else {
-		res.Final = main.Final.VirtualToPhys()
+		start := time.Now()
+		gates, done, err := r.readWindow()
+		if err != nil {
+			return err
+		}
+		if !r.pinned { // gate-less stream: pin from the declaration alone
+			if err := r.pinRegister(); err != nil {
+				return err
+			}
+		}
+		if done && len(gates) == 0 && idx > 0 {
+			return nil
+		}
+		sp := r.span.Child("stream:window")
+		sp.SetAttr("window", strconv.Itoa(idx))
+		sp.SetAttr("gates.in", strconv.Itoa(len(gates)))
+		w := &Window{
+			Index:      idx,
+			Circuit:    &circuit.Circuit{NumQubits: r.n, Gates: gates},
+			InputGates: len(gates),
+			ReadTime:   time.Since(start),
+			span:       sp,
+		}
+		if err := sink(w); err != nil {
+			return err
+		}
+		if done {
+			return nil
+		}
 	}
-	res.Stages = make([]StageMetric, len(r.metrics))
-	for i, m := range r.metrics {
-		res.Stages[i] = *m
-	}
-	return res
 }

@@ -1,21 +1,17 @@
-// Package stream compiles circuits in bounded gate windows: QASM is parsed,
-// decomposed, routed, optimized, scheduled, and re-emitted one window at a
-// time, so peak memory is proportional to the window size rather than the
-// circuit length. The window-boundary invariant is that every stateful
-// stage (the router, the Six-mode fixup router, the ASAP scheduler) is a
-// persistent incremental session fed windows in circuit order — window N+1
-// starts from window N's live layout and qubit-availability times — so the
-// stitched output is exactly what the monolithic pipeline produces: with
-// optimization off it is byte-identical to compiler.Compile + qasm.Emit
-// (the per-gate passes are gate-local maps and the routers are strict
-// in-order folds whose tie-break RNG consumes the same stream either way);
-// with optimization on, saturation windows differ from global saturation,
-// so the output is simulation-equivalent instead.
+// Package stream compiles circuits in bounded gate windows: QASM is read
+// and cut into windows, each window is compiled by the caller's Compiler,
+// and the compiled gates are scheduled and re-emitted one window at a time,
+// so peak memory is proportional to the window size rather than the
+// circuit length. The package owns the windowing and the drivers; what a
+// window's compile does is the Compiler's (the compiler package runs its
+// own pass list on every window, with routing sessions that carry the live
+// placement from one window to the next).
 //
-// Stages can also run as a pipelined worker chain (Config.Parallel):
-// channel-connected goroutines with one window in decompose while the
-// previous window routes, which is how a single large compile uses
-// multiple cores. FIFO channels keep windows ordered, so the pipelined
+// Two drivers run the same stages. Serial reads, compiles and emits one
+// window before reading the next. Pipelined runs read, the three compile
+// stages and emit as a chain of goroutines connected by capacity-1
+// channels, so one window decomposes while the previous routes. FIFO
+// channels keep windows in circuit order at every stage, so the pipelined
 // output is bit-identical to the serial one at any core count.
 package stream
 
@@ -23,174 +19,92 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 	"time"
 
 	"trios/internal/circuit"
-	"trios/internal/decompose"
-	"trios/internal/layout"
 	"trios/internal/obs"
-	"trios/internal/optimize"
 	"trios/internal/qasm"
-	"trios/internal/rewrite"
-	"trios/internal/route"
 	"trios/internal/sched"
-	"trios/internal/topo"
 )
 
-// DefaultWindow is the gate-window size when Config.Window is zero: big
-// enough to amortize per-window pass overhead, small enough that a handful
-// of in-flight windows stay cache-resident.
+// DefaultWindow is the gate-window size when none is given: big enough to
+// amortize per-window pass overhead, small enough that a handful of
+// in-flight windows stay cache-resident.
 const DefaultWindow = 4096
 
-// Config configures a windowed compile. It mirrors the monolithic
-// compiler's options with plain values (the compiler package layers its
-// Options on top of this; stream cannot import it back).
-type Config struct {
-	// Graph is the target device.
-	Graph *topo.Graph
-	// TrioAware selects the Trios pipeline (decompose to Toffolis, route
-	// trios as units, mapping-aware second decomposition); false is the
-	// conventional decompose-first pipeline.
-	TrioAware bool
-	// Mode is the Toffoli decomposition mode: the up-front mode for the
-	// conventional pipeline (Auto means Six), the mapping-aware mode for
-	// Trios (Auto, Six, or Eight; Six adds the persistent fixup router).
-	Mode decompose.ToffoliMode
-	// Seed drives routing tie-breaks, exactly as in the monolithic path.
-	Seed int64
-	// Place computes the initial placement from the first decomposed
-	// window (nil means identity). Placements that read the whole circuit
-	// (greedy) see only the first window here — the one documented
-	// divergence from the monolithic pipeline, which sees every gate.
-	Place func(first *circuit.Circuit) (*layout.Layout, error)
-	// Optimize enables the optimization passes per window; LegacyOptimizer
-	// selects the pre-rewrite-engine cancel loop instead of the saturating
-	// engine, matching the compiler's OptimizerKind.
-	Optimize        bool
-	LegacyOptimizer bool
-	// Weight/Oracle are the cost model's noise-aware routing hooks (both
-	// nil for uniform cost).
-	Weight func(a, b int) float64
-	Oracle *topo.WeightedOracle
-	// Times is the gate-time model for the incremental ASAP schedule; the
-	// zero value selects the paper's Johannesburg times.
-	Times sched.GateTimes
-	// Window is the gate-window size (DefaultWindow when zero).
-	Window int
-	// Parallel runs the stages as a channel-connected worker chain instead
-	// of a serial per-window loop. Output is bit-identical either way.
-	Parallel bool
-	// Span, when non-nil, is the parent trace span; each window records a
-	// child span with its stage gate counts.
-	Span *obs.Span
-}
+// Window is one cut of the program on its way from the reader to the
+// emitter.
+type Window struct {
+	// Index counts windows from 0, in circuit order.
+	Index int
+	// Circuit holds the window's gates: the input gates, over the pinned
+	// input register, as read; the compiled gates, over the device
+	// register, once the compile stages have run.
+	Circuit *circuit.Circuit
+	// InputGates is the number of gates read into the window.
+	InputGates int
+	// ReadTime is the time spent reading the window (on window 0 it
+	// includes Compiler.Begin); EmitTime the time spent scheduling and
+	// emitting it, set before Compiler.Emitted.
+	ReadTime, EmitTime time.Duration
+	// Makespan is the ASAP makespan (us) of everything emitted up to the
+	// end of this window, set before Compiler.Emitted.
+	Makespan float64
 
-// StageMetric aggregates one pipeline stage across all windows.
-type StageMetric struct {
-	Stage    string        `json:"stage"`
-	Duration time.Duration `json:"duration_ns"`
-	GatesIn  int           `json:"gates_in"`
-	GatesOut int           `json:"gates_out"`
-}
-
-// Result summarizes a windowed compile.
-type Result struct {
-	// InputQubits is the declared input register; NumQubits the device
-	// register the output is emitted over.
-	InputQubits int
-	NumQubits   int
-	InputGates  int
-	// EmittedGates counts gates written to the output stream.
-	EmittedGates int
-	Windows      int
-	SwapsAdded   int
-	// Initial[v] / Final[v] are the physical positions of virtual qubit v
-	// before and after routing, covering all device qubits.
-	Initial []int
-	Final   []int
-	// ScheduledDuration is the ASAP makespan (us) of the emitted circuit
-	// under Config.Times, accumulated incrementally.
-	ScheduledDuration float64
-	// Stages holds per-stage totals in pipeline order.
-	Stages []StageMetric
-}
-
-// window is the unit of work flowing through the stages.
-type window struct {
-	idx  int
-	c    *circuit.Circuit
 	span *obs.Span
 }
 
-// run is one windowed compile: the persistent cross-window state every
-// stage hands forward. In parallel mode each field is owned by exactly one
-// stage goroutine (or written by an earlier stage before the first window
-// is passed on, which the channel handoff orders).
+// Compiler is the compile a windowed run drives between reading each
+// window and emitting it.
+type Compiler interface {
+	// Begin is called once the input register is pinned to n qubits,
+	// before any window is compiled. It validates the program's shape and
+	// returns the width of the device register the output is emitted over.
+	Begin(n int) (int, error)
+	// Decompose, Route and Lower are the compile stages, in order; each
+	// replaces w.Circuit with its output. Every stage sees every window in
+	// circuit order, one window at a time, so it may carry state from one
+	// window to the next without locking.
+	Decompose(w *Window) error
+	Route(w *Window) error
+	Lower(w *Window) error
+	// Emitted is called once w's compiled gates have been written.
+	Emitted(w *Window)
+}
+
+// run is one windowed compile's reading and emitting state. In the
+// pipelined driver each field is owned by one stage goroutine, or written
+// by the read stage before the first window is passed on, which the
+// channel handoff orders.
 type run struct {
-	cfg    Config
-	g      *topo.Graph
+	c      Compiler
 	reader *qasm.Reader
 	out    io.Writer
-
-	frontMode decompose.ToffoliMode // conventional first-pass mode
-	maMode    decompose.ToffoliMode // trios mapping-aware mode
-	times     sched.GateTimes
+	size   int
+	span   *obs.Span
+	times  sched.GateTimes
 
 	// Set by the read stage before the first window is released.
+	pinned  bool
 	n       int // input register size, fixed for the whole stream
+	width   int // device register size
 	hasCreg bool
 	read    int // gates read so far
-
-	// Owned by the route stage.
-	init *layout.Layout
-	sess *route.Session
-
-	// Owned by the back stage (Six mode only).
-	fixup *route.Session
 
 	// Owned by the emit stage.
 	emitter  *qasm.Emitter
 	avail    []float64
 	makespan float64
-	emitted  int
-	windows  int
-
-	mu      sync.Mutex
-	metrics []*StageMetric
-	byName  map[string]*StageMetric
 }
 
-// metric accumulates a stage's contribution for one window.
-func (r *run) metric(stage string, in, out int, d time.Duration) {
-	r.mu.Lock()
-	m := r.byName[stage]
-	if m == nil {
-		m = &StageMetric{Stage: stage}
-		r.byName[stage] = m
-		r.metrics = append(r.metrics, m)
-	}
-	m.Duration += d
-	m.GatesIn += in
-	m.GatesOut += out
-	r.mu.Unlock()
-}
-
-// wrap builds a circuit view over a gate slice without copying.
-func wrap(n int, gates []circuit.Gate) *circuit.Circuit {
-	return &circuit.Circuit{NumQubits: n, Gates: gates}
-}
-
-// readWindow pulls up to cfg.Window gates. done reports a clean end of
-// stream. The register size is pinned at the first gate: streaming
-// requires strict register bounds, because a later gate growing the
-// register would retroactively change how earlier windows were decomposed
-// (canonical inputs never grow).
+// readWindow pulls up to r.size gates. done reports a clean end of stream.
+// The register size is pinned at the first gate: streaming requires strict
+// register bounds, because a later gate growing the register would
+// retroactively change how earlier windows were decomposed (canonical
+// inputs never grow).
 func (r *run) readWindow() (gates []circuit.Gate, done bool, err error) {
-	start := time.Now()
-	defer func() { r.metric("read:qasm", len(gates), len(gates), time.Since(start)) }()
-	gates = make([]circuit.Gate, 0, r.cfg.Window)
-	for len(gates) < r.cfg.Window {
+	gates = make([]circuit.Gate, 0, r.size)
+	for len(gates) < r.size {
 		g, err := r.reader.NextGate()
 		if err == io.EOF {
 			r.read += len(gates)
@@ -199,7 +113,7 @@ func (r *run) readWindow() (gates []circuit.Gate, done bool, err error) {
 		if err != nil {
 			return nil, false, err
 		}
-		if r.n == 0 {
+		if !r.pinned {
 			if err := r.pinRegister(); err != nil {
 				return nil, false, err
 			}
@@ -214,183 +128,44 @@ func (r *run) readWindow() (gates []circuit.Gate, done bool, err error) {
 }
 
 // pinRegister fixes the input register size and header shape from the
-// reader's state (called once the declaration has been parsed).
+// reader's state (called once the declaration has been parsed) and hands
+// the size to the compiler's Begin.
 func (r *run) pinRegister() error {
+	r.pinned = true
 	r.n = r.reader.NumQubits()
 	r.hasCreg = r.reader.HasCreg()
-	if r.n > r.g.NumQubits() {
-		return fmt.Errorf("stream: circuit needs %d qubits, device %s has %d", r.n, r.g.Name(), r.g.NumQubits())
-	}
-	return nil
-}
-
-// stageFront is window decomposition: input optimization (when enabled)
-// and the pipeline's first Toffoli decomposition, both gate-local, plus
-// the one-time placement on the first window.
-func (r *run) stageFront(w *window) error {
-	start := time.Now()
-	in := len(w.c.Gates)
-	c := w.c
-	if r.cfg.Optimize {
-		if r.cfg.LegacyOptimizer {
-			c = optimize.CancelCommuting(c)
-		} else {
-			c, _ = rewrite.Saturate(c, rewrite.Options{})
-		}
-	}
 	var err error
-	if r.cfg.TrioAware {
-		c, err = decompose.KeepToffoli(c)
-	} else {
-		c, err = decompose.ToffoliAll(c, r.frontMode)
-	}
-	if err != nil {
-		return fmt.Errorf("stream: window %d: %w", w.idx, err)
-	}
-	w.c = c
-	r.metric("decompose:front", in, len(c.Gates), time.Since(start))
-	w.span.SetAttr("gates.decomposed", strconv.Itoa(len(c.Gates)))
-
-	if w.idx == 0 {
-		pStart := time.Now()
-		place := r.cfg.Place
-		if place == nil {
-			place = func(*circuit.Circuit) (*layout.Layout, error) {
-				return layout.Identity(r.g.NumQubits()), nil
-			}
-		}
-		init, err := place(c)
-		if err != nil {
-			return fmt.Errorf("stream: placement: %w", err)
-		}
-		if init.Size() != r.g.NumQubits() {
-			return fmt.Errorf("stream: placement covers %d qubits, device has %d", init.Size(), r.g.NumQubits())
-		}
-		r.init = init
-		r.metric("layout:place", 0, 0, time.Since(pStart))
-	}
-	return nil
+	r.width, err = r.c.Begin(r.n)
+	return err
 }
 
-// stageRoute feeds the window through the persistent routing session and
-// replaces the payload with the routed physical gates.
-func (r *run) stageRoute(w *window) error {
-	start := time.Now()
-	in := len(w.c.Gates)
-	if w.idx == 0 {
-		var router interface {
-			Begin(*topo.Graph, *layout.Layout) (*route.Session, error)
+// compileStage wraps one of the compiler's stages: it notes the window's
+// size after the stage on the window's trace span under attr.
+func compileStage(stage func(*Window) error, attr string) func(*Window) error {
+	return func(w *Window) error {
+		if err := stage(w); err != nil {
+			return fmt.Errorf("stream: window %d: %w", w.Index, err)
 		}
-		if r.cfg.TrioAware {
-			router = &route.Trios{Seed: r.cfg.Seed, Weight: r.cfg.Weight, Oracle: r.cfg.Oracle}
-		} else {
-			router = &route.Baseline{Seed: r.cfg.Seed, Weight: r.cfg.Weight, Oracle: r.cfg.Oracle}
-		}
-		sess, err := router.Begin(r.g, r.init)
-		if err != nil {
-			return fmt.Errorf("stream: %w", err)
-		}
-		r.sess = sess
+		w.span.SetAttr(attr, strconv.Itoa(len(w.Circuit.Gates)))
+		return nil
 	}
-	if err := r.sess.Feed(w.c.Gates); err != nil {
-		return fmt.Errorf("stream: window %d: %w", w.idx, err)
-	}
-	routed := r.sess.Drain(make([]circuit.Gate, 0, in+in/2))
-	w.c = wrap(r.g.NumQubits(), routed)
-	r.metric("route:main", in, len(routed), time.Since(start))
-	w.span.SetAttr("gates.routed", strconv.Itoa(len(routed)))
-	return nil
-}
-
-// stageBack is the device-dependent tail: mapping-aware second
-// decomposition (Trios), the Six-mode fixup routing session, the
-// routed-circuit rewrite window, basis lowering, and output optimization —
-// each the per-window image of the monolithic pass of the same name.
-func (r *run) stageBack(w *window) error {
-	c := w.c
-	if r.cfg.TrioAware {
-		start := time.Now()
-		in := len(c.Gates)
-		var err error
-		c, err = decompose.MappingAware(c, r.g, r.maMode)
-		if err != nil {
-			return fmt.Errorf("stream: window %d: %w", w.idx, err)
-		}
-		r.metric("decompose:mapping-aware", in, len(c.Gates), time.Since(start))
-		if r.maMode == decompose.Six {
-			start = time.Now()
-			in = len(c.Gates)
-			if w.idx == 0 {
-				fixup := &route.Baseline{Seed: r.cfg.Seed + 1, Weight: r.cfg.Weight, Oracle: r.cfg.Oracle}
-				sess, err := fixup.Begin(r.g, layout.Identity(r.g.NumQubits()))
-				if err != nil {
-					return fmt.Errorf("stream: fixup: %w", err)
-				}
-				r.fixup = sess
-			}
-			if err := r.fixup.Feed(c.Gates); err != nil {
-				return fmt.Errorf("stream: window %d fixup: %w", w.idx, err)
-			}
-			c = wrap(r.g.NumQubits(), r.fixup.Drain(make([]circuit.Gate, 0, in)))
-			r.metric("route:fixup", in, len(c.Gates), time.Since(start))
-		}
-	}
-	if r.cfg.Optimize && !r.cfg.LegacyOptimizer {
-		start := time.Now()
-		in := len(c.Gates)
-		c, _ = rewrite.Saturate(c, rewrite.Options{AdjacentOK: r.g.Connected})
-		r.metric("optimize:saturate-routed", in, len(c.Gates), time.Since(start))
-	}
-	start := time.Now()
-	in := len(c.Gates)
-	c, err := decompose.LowerToBasis(c)
-	if err != nil {
-		return fmt.Errorf("stream: window %d: %w", w.idx, err)
-	}
-	r.metric("lower:basis", in, len(c.Gates), time.Since(start))
-	if r.cfg.Optimize {
-		start = time.Now()
-		in = len(c.Gates)
-		if r.cfg.LegacyOptimizer {
-			c, err = optimize.Consolidate1Q(optimize.CancelCommuting(c))
-			if err != nil {
-				return fmt.Errorf("stream: window %d: %w", w.idx, err)
-			}
-		} else {
-			// Per-window image of SaturateOutputPass: alternate saturation
-			// with 1q-run consolidation until the count stops dropping.
-			best := len(c.Gates) + 1
-			for iter := 0; iter < 4 && len(c.Gates) < best; iter++ {
-				best = len(c.Gates)
-				out, _ := rewrite.Saturate(c, rewrite.Options{})
-				c, err = optimize.Consolidate1Q(out)
-				if err != nil {
-					return fmt.Errorf("stream: window %d: %w", w.idx, err)
-				}
-			}
-		}
-		r.metric("optimize:output", in, len(c.Gates), time.Since(start))
-	}
-	w.c = c
-	w.span.SetAttr("gates.lowered", strconv.Itoa(len(c.Gates)))
-	return nil
 }
 
 // stageEmit advances the incremental ASAP schedule gate by gate (the same
 // fold sched.ASAP runs, with the per-qubit availability vector carried
 // across windows) and streams the window's gates to the output, flushing
 // at the window boundary so consumers see incremental delivery.
-func (r *run) stageEmit(w *window) error {
+func (r *run) stageEmit(w *Window) error {
 	start := time.Now()
-	if w.idx == 0 {
-		e, err := qasm.NewEmitter(r.out, r.g.NumQubits(), r.hasCreg)
+	if w.Index == 0 {
+		e, err := qasm.NewEmitter(r.out, r.width, r.hasCreg)
 		if err != nil {
 			return fmt.Errorf("stream: %w", err)
 		}
 		r.emitter = e
-		r.avail = make([]float64, r.g.NumQubits())
+		r.avail = make([]float64, r.width)
 	}
-	for _, g := range w.c.Gates {
+	for _, g := range w.Circuit.Gates {
 		gs := 0.0
 		for _, q := range g.Qubits {
 			if r.avail[q] > gs {
@@ -399,7 +174,7 @@ func (r *run) stageEmit(w *window) error {
 		}
 		d, err := r.times.Duration(g)
 		if err != nil {
-			return fmt.Errorf("stream: window %d: %w", w.idx, err)
+			return fmt.Errorf("stream: window %d: %w", w.Index, err)
 		}
 		end := gs + d
 		for _, q := range g.Qubits {
@@ -409,15 +184,16 @@ func (r *run) stageEmit(w *window) error {
 			r.makespan = end
 		}
 		if err := r.emitter.EmitGate(g); err != nil {
-			return fmt.Errorf("stream: window %d: %w", w.idx, err)
+			return fmt.Errorf("stream: window %d: %w", w.Index, err)
 		}
 	}
 	if err := r.emitter.Flush(); err != nil {
-		return fmt.Errorf("stream: window %d: %w", w.idx, err)
+		return fmt.Errorf("stream: window %d: %w", w.Index, err)
 	}
-	r.emitted += len(w.c.Gates)
-	r.metric("schedule:asap+emit", len(w.c.Gates), len(w.c.Gates), time.Since(start))
-	w.span.SetAttr("gates.emitted", strconv.Itoa(len(w.c.Gates)))
+	w.EmitTime = time.Since(start)
+	w.Makespan = r.makespan
+	w.span.SetAttr("gates.emitted", strconv.Itoa(len(w.Circuit.Gates)))
 	w.span.End()
+	r.c.Emitted(w)
 	return nil
 }
