@@ -2,7 +2,8 @@
 //
 // Compilation-heavy experiments fan out across a worker pool; -workers
 // caps the parallelism (default: GOMAXPROCS). Results are identical for
-// any worker count.
+// any worker count. An unknown -exp name is a usage error. Performance is
+// measured by the serving benchmark (bash perfbench/run.sh), not here.
 //
 // Usage:
 //
@@ -11,17 +12,13 @@
 //	experiments -exp fig1,fig6,fig7,fig8,fig9,fig10,fig11,fig12
 //	experiments -triplets 35 -shots 8192 -seed 2021
 //	experiments -exp mc-toffoli,mc-rp -mc-shots 128   # trajectory Monte-Carlo suites
-//	experiments -bench-json BENCH_compile.json
-//	experiments -sim-bench BENCH_sim.json
-//	experiments -stream-bench BENCH_stream.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
+	"slices"
 	"strings"
 
 	"trios/internal/experiments"
@@ -30,71 +27,49 @@ import (
 	"trios/internal/version"
 )
 
-// streamRSSChildEnv carries the parameters of a streaming-compile RSS
-// sample; when set, the process runs only that compile, prints its peak RSS
-// in bytes, and exits. RunStreamBench self-execs with it so each RSS sample
-// is a fresh address space.
-const streamRSSChildEnv = "TRIOS_STREAM_RSS_CHILD"
+// experimentNames are the -exp names that "all" runs; trajectoryNames are
+// the Monte-Carlo-heavy suites that run only when named.
+var (
+	experimentNames = []string{"table1", "fig1", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "ablation", "toffoli-topos", "rp", "scaling", "fig12"}
+	trajectoryNames = []string{"mc-toffoli", "mc-rp"}
+)
 
-func streamRSSChild(raw string) {
-	var p experiments.StreamRSSParams
-	if err := json.Unmarshal([]byte(raw), &p); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	rss, err := experiments.StreamRSSChild(p)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println(rss)
-	os.Exit(0)
+// experimentList renders the -exp names for the flag help and the
+// unknown-name error.
+func experimentList() string {
+	return fmt.Sprintf("all, %s, or the opt-in trajectory suites %s (not included in all)",
+		strings.Join(experimentNames, ", "), strings.Join(trajectoryNames, ", "))
 }
 
-// streamRSSExec runs one RSS sample in a child copy of this binary.
-func streamRSSExec(p experiments.StreamRSSParams) (int64, error) {
-	self, err := os.Executable()
-	if err != nil {
-		return 0, err
+// parseExperiments splits a comma-separated -exp value into the set of
+// requested names, rejecting any name that is not an experiment.
+func parseExperiments(spec string) (map[string]bool, error) {
+	valid := map[string]bool{"all": true}
+	for _, n := range slices.Concat(experimentNames, trajectoryNames) {
+		valid[n] = true
 	}
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return 0, err
+	want := map[string]bool{}
+	for _, e := range strings.Split(spec, ",") {
+		e = strings.TrimSpace(e)
+		if e == "" {
+			continue
+		}
+		if !valid[e] {
+			return nil, fmt.Errorf("unknown experiment %q; valid: %s", e, experimentList())
+		}
+		want[e] = true
 	}
-	cmd := exec.Command(self)
-	cmd.Env = append(os.Environ(), streamRSSChildEnv+"="+string(raw))
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return 0, fmt.Errorf("stream RSS child: %w", err)
-	}
-	var rss int64
-	if _, err := fmt.Sscan(strings.TrimSpace(string(out)), &rss); err != nil {
-		return 0, fmt.Errorf("stream RSS child output %q: %w", out, err)
-	}
-	return rss, nil
+	return want, nil
 }
 
 func main() {
-	if raw := os.Getenv(streamRSSChildEnv); raw != "" {
-		streamRSSChild(raw)
-	}
 	var (
-		exp         = flag.String("exp", "all", "comma-separated experiments: table1, fig1, fig6, fig7, fig8, fig9, fig10, fig11, fig12, all, or the opt-in trajectory suites mc-toffoli, mc-rp (not included in all)")
+		exp         = flag.String("exp", "all", "comma-separated experiments: "+experimentList())
 		triplets    = flag.Int("triplets", 35, "random qubit triples for the Toffoli experiments (fig6/fig7; fig8 uses 99)")
 		shots       = flag.Int("shots", 8192, "shots per Toffoli configuration")
 		seed        = flag.Int64("seed", 2021, "random seed")
 		jsonPath    = flag.String("json", "", "also write all results as JSON to this file")
 		workers     = flag.Int("workers", 0, "parallel compilation workers (0 = GOMAXPROCS)")
-		benchJSON   = flag.String("bench-json", "", "run only the compile-path benchmark and write its JSON report here (e.g. BENCH_compile.json)")
-		simJSON     = flag.String("sim-bench", "", "run only the simulation-engine benchmark and write its JSON report here (e.g. BENCH_sim.json); a text summary goes to stdout")
-		kernelJSON  = flag.String("kernel-bench", "", "run only the kernel micro-benchmark (legacy vs branch-free arms of the route delta-scoring and dense sweep hot loops) and write its JSON report here (e.g. BENCH_kernels.json); a text summary goes to stdout")
-		noiseJSON   = flag.String("noise-bench", "", "run only the noise-aware sweep (uniform vs noise cost model under per-device calibrations) and write its JSON report here (e.g. BENCH_noise.json); a text summary goes to stdout")
-		noiseShort  = flag.Bool("noise-short", false, "shrink the noise-aware sweep to a CI-sized subset of benchmarks and topologies")
-		optJSON     = flag.String("opt-bench", "", "run only the optimizer benchmark (legacy cancel loop vs saturating rewrite engine across the Table-1 grid, plus template-warm cold-compile latency) and write its JSON report here (e.g. BENCH_optimize.json); a text summary goes to stdout")
-		optShort    = flag.Bool("opt-short", false, "shrink the optimizer benchmark to a CI-sized subset of benchmarks and topologies")
-		streamJSON  = flag.String("stream-bench", "", "run only the streaming-compile benchmark (serial vs pipelined window drivers plus subprocess peak-RSS samples on generated million-gate streams) and write its JSON report here (e.g. BENCH_stream.json); a text summary goes to stdout")
-		streamShort = flag.Bool("stream-short", false, "shrink the streaming benchmark to CI-sized gate counts")
 		mcShots     = flag.Int("mc-shots", 64, "trajectory Monte-Carlo shots for the mc-toffoli/mc-rp experiments")
 		mcTrips     = flag.Int("mc-triplets", 4, "random triplets for the mc-toffoli experiment")
 		showVersion = flag.Bool("version", false, "print build version and exit")
@@ -104,193 +79,12 @@ func main() {
 		fmt.Println(version.Get())
 		return
 	}
+	want, err := parseExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
 	experiments.Workers = *workers
-
-	if *simJSON != "" {
-		report, err := experiments.RunSimBench(*workers, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*simJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.WriteText(os.Stdout)
-		if !report.Deterministic {
-			fmt.Fprintln(os.Stderr, "sim bench: parallel paths diverged from serial results")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *kernelJSON != "" {
-		report, err := experiments.RunKernelBench(*seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*kernelJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.WriteText(os.Stdout)
-		if !report.Identical {
-			fmt.Fprintln(os.Stderr, "kernel bench: a branch-free arm diverged from its legacy arm")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *streamJSON != "" {
-		report, err := experiments.RunStreamBench(experiments.StreamBenchOptions{
-			Seed:    *seed,
-			Short:   *streamShort,
-			RSSExec: streamRSSExec,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*streamJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		report.WriteText(os.Stdout)
-		if !report.EquivalenceOK {
-			fmt.Fprintln(os.Stderr, "stream bench: streaming output diverged from the monolithic golden arm")
-			os.Exit(1)
-		}
-		if report.PeakRSSBytes > report.WindowBudgetBytes {
-			fmt.Fprintln(os.Stderr, "stream bench: peak RSS exceeded the window budget")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *noiseJSON != "" {
-		report, err := experiments.RunNoiseBench(*noiseShort, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*noiseJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if report.MeanNoise < report.MeanUniform {
-			fmt.Fprintln(os.Stderr, "noise bench: noise-aware mean success fell below the uniform control")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *optJSON != "" {
-		report, err := experiments.RunOptBench(*optShort, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*optJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteText(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if !report.EquivalenceOK {
-			fmt.Fprintln(os.Stderr, "opt bench: a divergent cell failed statevector equivalence")
-			os.Exit(1)
-		}
-		if report.SaturateWorse > 0 {
-			fmt.Fprintln(os.Stderr, "opt bench: the saturating engine regressed two-qubit counts vs legacy")
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchJSON != "" {
-		report, err := experiments.RunCompileBench(*workers, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := report.WriteJSON(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if !report.Deterministic {
-			fmt.Fprintln(os.Stderr, "compile bench: serial and parallel drains diverged")
-			os.Exit(1)
-		}
-		if report.SpeedupNote != "" {
-			fmt.Printf("wrote %s (%d jobs, route %.3fs; %s)\n",
-				*benchJSON, report.Runs[0].Jobs, report.RouteSeconds, report.SpeedupNote)
-		} else {
-			fmt.Printf("wrote %s (%d jobs, route %.3fs, %.2fx parallel speedup with %d workers)\n",
-				*benchJSON, report.Runs[0].Jobs, report.RouteSeconds, report.Speedup, report.Runs[1].Workers)
-		}
-		return
-	}
 
 	if *jsonPath != "" {
 		report, err := experiments.BuildReport(*triplets, *shots, *seed)
@@ -314,10 +108,6 @@ func main() {
 		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
 	all := want["all"]
 
 	run := func(name string, f func() error) {

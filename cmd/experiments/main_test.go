@@ -3,6 +3,7 @@ package main
 import (
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -58,9 +59,26 @@ func TestUnknownExperimentFails(t *testing.T) {
 		t.Skip("builds and runs the experiments binary")
 	}
 	bin := buildExperiments(t)
-	// Unknown experiment names are simply skipped by the driver; a bad flag
-	// must exit non-zero.
 	if err := exec.Command(bin, "-no-such-flag").Run(); err == nil {
 		t.Fatal("bad flag should exit non-zero")
+	}
+	// A misspelt experiment name must fail before running anything, and the
+	// error must list the valid names; so must the -exp help text.
+	out, err := exec.Command(bin, "-exp", "table1,tabel1").CombinedOutput()
+	if err == nil {
+		t.Fatalf("-exp tabel1 exited zero:\n%s", out)
+	}
+	text := string(out)
+	if strings.Contains(text, "==== table1 ====") {
+		t.Errorf("ran experiments before rejecting the name:\n%s", text)
+	}
+	help, _ := exec.Command(bin, "-h").CombinedOutput()
+	for _, name := range slices.Concat([]string{"all"}, experimentNames, trajectoryNames) {
+		if !strings.Contains(text, name) {
+			t.Errorf("error does not list %q:\n%s", name, text)
+		}
+		if !strings.Contains(string(help), name) {
+			t.Errorf("-exp help does not list %q:\n%s", name, help)
+		}
 	}
 }

@@ -67,67 +67,6 @@ func appendGate2(buf []byte, name string, a, b int) []byte {
 	return buf
 }
 
-func appendRot(buf []byte, name string, theta float64, q int) []byte {
-	buf = append(buf, name...)
-	buf = append(buf, '(')
-	buf = strconv.AppendFloat(buf, theta, 'g', 17, 64)
-	buf = append(buf, ") q["...)
-	buf = strconv.AppendInt(buf, int64(q), 10)
-	buf = append(buf, "];\n"...)
-	return buf
-}
-
-// StreamQAOA streams a QAOA-shaped program on n qubits totalling exactly
-// `gates` gate statements: a Hadamard wall, then random ZZ-interaction
-// blocks (cx, rz, cx) interleaved with rx mixer walls — the all-to-all
-// interaction pattern of qaoa_complete, unrolled to any length.
-func StreamQAOA(n, gates int, seed int64) io.Reader {
-	rng := rand.New(rand.NewSource(seed))
-	emitted := 0
-	wroteHeader := false
-	wall := 0 // next qubit of the pending H wall, or n when done
-	return &qasmStream{next: func(buf []byte) ([]byte, bool) {
-		if !wroteHeader {
-			buf = header(buf, n)
-			wroteHeader = true
-		}
-		for i := 0; i < chunkGates && emitted < gates; {
-			switch {
-			case wall < n: // initial state-prep wall
-				buf = appendGate1(buf, "h", wall)
-				wall++
-				emitted++
-				i++
-			case rng.Intn(12) == 0: // mixer wall, one qubit at a time
-				buf = appendRot(buf, "rx", 2*rng.Float64(), rng.Intn(n))
-				emitted++
-				i++
-			default: // one ZZ interaction: cx, rz, cx (clipped at the budget)
-				a := rng.Intn(n)
-				b := rng.Intn(n)
-				for b == a {
-					b = rng.Intn(n)
-				}
-				gamma := 2 * rng.Float64()
-				block := [](func([]byte) []byte){
-					func(s []byte) []byte { return appendGate2(s, "cx", a, b) },
-					func(s []byte) []byte { return appendRot(s, "rz", gamma, b) },
-					func(s []byte) []byte { return appendGate2(s, "cx", a, b) },
-				}
-				for _, f := range block {
-					if emitted >= gates {
-						break
-					}
-					buf = f(buf)
-					emitted++
-					i++
-				}
-			}
-		}
-		return buf, emitted >= gates
-	}}
-}
-
 // StreamCliffordT streams a uniformly random Clifford+T program on n
 // qubits totalling exactly `gates` gate statements — the fault-tolerant
 // instruction mix {h, s, sdg, cx, t, tdg}, dominated by two-qubit gates so

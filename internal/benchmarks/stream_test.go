@@ -24,54 +24,34 @@ func countStreamGates(t *testing.T, r io.Reader) (gates, qubits int) {
 }
 
 func TestStreamGeneratorsExactCountAndParse(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func(n, gates int, seed int64) io.Reader
-	}{
-		{"qaoa", StreamQAOA},
-		{"cliffordt", StreamCliffordT},
-	}
-	for _, tc := range cases {
-		for _, want := range []int{1, 100, 5000} {
-			gates, qubits := countStreamGates(t, tc.mk(12, want, 1))
-			if gates != want {
-				t.Fatalf("%s: %d gates, want exactly %d", tc.name, gates, want)
-			}
-			if qubits != 12 {
-				t.Fatalf("%s: register %d, want 12", tc.name, qubits)
-			}
+	for _, want := range []int{1, 100, 5000} {
+		gates, qubits := countStreamGates(t, StreamCliffordT(12, want, 1))
+		if gates != want {
+			t.Fatalf("cliffordt: %d gates, want exactly %d", gates, want)
+		}
+		if qubits != 12 {
+			t.Fatalf("cliffordt: register %d, want 12", qubits)
 		}
 	}
 }
 
 func TestStreamGeneratorsDeterministic(t *testing.T) {
-	a, err := io.ReadAll(StreamQAOA(10, 2000, 7))
+	a, err := io.ReadAll(StreamCliffordT(10, 2000, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := io.ReadAll(StreamQAOA(10, 2000, 7))
+	b, err := io.ReadAll(StreamCliffordT(10, 2000, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("StreamQAOA is not deterministic for a fixed seed")
+		t.Fatal("StreamCliffordT is not deterministic for a fixed seed")
 	}
-	c, err := io.ReadAll(StreamQAOA(10, 2000, 8))
+	c, err := io.ReadAll(StreamCliffordT(10, 2000, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(a, c) {
-		t.Fatal("StreamQAOA ignores the seed")
-	}
-	d, err := io.ReadAll(StreamCliffordT(10, 2000, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := io.ReadAll(StreamCliffordT(10, 2000, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d, e) {
-		t.Fatal("StreamCliffordT is not deterministic for a fixed seed")
+		t.Fatal("StreamCliffordT ignores the seed")
 	}
 }

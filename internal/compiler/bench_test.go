@@ -64,8 +64,10 @@ func benchBatch(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Results(rs); err != nil {
-			b.Fatal(err)
+		for _, jr := range rs {
+			if jr.Err != nil {
+				b.Fatal(jr.Err)
+			}
 		}
 	}
 	b.ReportMetric(float64(len(jobs)), "jobs")

@@ -87,31 +87,3 @@ func TestRPTrajectorySmall(t *testing.T) {
 		t.Error("empty report")
 	}
 }
-
-func TestRunSimBenchSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sim bench is a timing workload; skipped in short mode")
-	}
-	report, err := RunSimBench(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.Deterministic {
-		t.Error("sim bench reports nondeterminism")
-	}
-	if len(report.Runs) != 7 {
-		t.Errorf("got %d runs, want 7", len(report.Runs))
-	}
-	if report.KernelSpeedup <= 0 || report.TrajectorySpeedup <= 0 || report.CliffordVerifySpeedup <= 0 {
-		t.Errorf("speedups missing: %+v", report)
-	}
-	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var txt bytes.Buffer
-	report.WriteText(&txt)
-	if txt.Len() == 0 {
-		t.Error("empty text report")
-	}
-}

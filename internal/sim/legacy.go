@@ -1,9 +1,9 @@
 // Legacy full-scan simulation loops, preserved verbatim from before the
-// kernel rewrite. They serve two purposes: legacy_test.go proves the
-// branch-free kernels produce bit-identical states, and BENCH_sim uses them
-// as the serial baseline the engine's speedups are measured against (the
-// same discipline the distance-oracle refactor applied to the BFS path
-// machinery).
+// kernel rewrite. legacy_test.go and kernels_equiv_test.go prove the
+// branch-free kernels produce bit-identical states against them, and the
+// Go benchmarks in bench_test.go time them as the old side of each
+// old-vs-new pair (the same discipline the distance-oracle refactor applied
+// to the BFS path machinery).
 package sim
 
 import (
@@ -156,7 +156,8 @@ func (s *State) LegacyApplyCircuit(c *circuit.Circuit) error {
 // verbatim (serial, gate-at-a-time, legacy kernels, Measure gates skipped
 // and expectMask compared as given). TestMonteCarloBitIdenticalToLegacy
 // proves the refactored MonteCarloSuccess returns bit-identical results for
-// every fixed seed, and BENCH_sim times it as the trajectory baseline.
+// every fixed seed, and BenchmarkTrajectorySerial times it as the
+// trajectory baseline.
 func MonteCarloSuccessLegacy(c *circuit.Circuit, noise PauliNoise, expect, expectMask uint64, shots int, seed int64) (float64, error) {
 	if c.NumQubits > 14 {
 		return 0, fmt.Errorf("sim: monte carlo limited to 14 qubits, circuit has %d", c.NumQubits)

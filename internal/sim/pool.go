@@ -2,11 +2,11 @@
 //
 // The previous parallel path spawned fresh goroutines for every fused op —
 // for a compiled circuit with thousands of sweeps that is thousands of
-// create/schedule/exit cycles, and on real machines the dispatch overhead
-// swallowed the parallel win entirely (BENCH_sim recorded speedup < 1 at 4
-// workers). A sweepPool amortizes that: the goroutines are created once per
-// Run, park on a channel between sweeps, and the caller itself executes the
-// final chunk of every sweep instead of blocking idle in Wait.
+// create/schedule/exit cycles, and that dispatch overhead can swallow the
+// parallel win entirely. A sweepPool amortizes it: the goroutines are
+// created once per Run, park on a channel between sweeps, and the caller
+// itself executes the final chunk of every sweep instead of blocking idle
+// in Wait.
 package sim
 
 import "sync"

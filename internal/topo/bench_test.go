@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// Old-vs-new path machinery benchmarks (make bench-route): the *BFS and
-// WeightedPath variants are the preserved legacy per-query implementations,
-// the others hit the distance oracle tables.
+// Old-vs-new path machinery benchmarks (go test -bench . ./internal/topo):
+// the *BFS and WeightedPath variants are the preserved legacy per-query
+// implementations, the others hit the distance oracle tables.
 
 func BenchmarkDistancesBFS(b *testing.B) {
 	g := Johannesburg()

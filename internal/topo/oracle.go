@@ -211,8 +211,8 @@ func (g *Graph) EdgeList() [][2]int {
 //
 // The per-query BFS routines the oracle replaced are preserved verbatim
 // below. They are the ground truth the oracle equivalence tests compare
-// against on every registry device, and the "old" side of the route
-// micro-benchmarks (make bench-route).
+// against on every registry device, and the "old" side of the path
+// benchmarks in bench_test.go.
 
 // bfsDistancesInto runs the legacy BFS from src, writing hop distances into
 // dist (len n, -1 for unreachable).
