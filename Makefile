@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench serve lint vet fmt fmt-check fuzz-rewrite fuzz-stream
+.PHONY: all build test race bench serve lint vet fmt fmt-check fuzz-rewrite fuzz-qasm
 
 all: build test
 
@@ -25,12 +25,15 @@ race:
 bench:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x ./...
 
-# Streaming-parser fuzz: FuzzStreamParse holds the pull-based QASM reader to
-# the in-memory parser gate for gate, with bounded errors on oversized
-# statements. The corpus-backed check runs in `make test`; this fuzzes
-# beyond it.
-fuzz-stream:
-	$(GO) test -run '^$$' -fuzz FuzzStreamParse -fuzztime 30s ./internal/qasm/
+# QASM round-trip fuzz, 10 s per target (go test fuzzes one target per
+# run): FuzzParse re-emits and re-parses whatever Parse accepts,
+# FuzzStreamParse holds the pull-based reader to Parse gate for gate, and
+# FuzzAppendGate holds the gate renderer to its fmt reference. The seed
+# corpora run in `make test`; this fuzzes beyond them.
+fuzz-qasm:
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/qasm/
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamParse$$' -fuzztime 10s ./internal/qasm/
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendGate$$' -fuzztime 10s ./internal/qasm/
 
 # Confluence fuzz: random rule-application orders (seeded pop orders) must
 # saturate to the same final gate counts. The smoke test runs in `make

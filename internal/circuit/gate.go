@@ -77,9 +77,13 @@ var gateNames = [numNames]string{
 	Measure: "measure", Barrier: "barrier",
 }
 
+// Valid reports whether n is one of the gate kinds above, and so has a
+// mnemonic.
+func (n Name) Valid() bool { return n >= 0 && n < numNames }
+
 // String returns the lowercase OpenQASM-style mnemonic for the gate name.
 func (n Name) String() string {
-	if n < 0 || n >= numNames {
+	if !n.Valid() {
 		return fmt.Sprintf("gate(%d)", int(n))
 	}
 	return gateNames[n]

@@ -14,7 +14,12 @@ import (
 // kind of trio. MCX gates are expanded into Toffolis using the circuit's
 // remaining wires as borrowed bits.
 func KeepToffoli(c *circuit.Circuit) (*circuit.Circuit, error) {
-	out := circuit.New(c.NumQubits)
+	out := presized(c, func(n circuit.Name) int {
+		if n == circuit.CCZ {
+			return 2 // H, CCX, H
+		}
+		return 0
+	})
 	for i, g := range c.Gates {
 		switch g.Name {
 		case circuit.CCX, circuit.RCCX, circuit.RCCXdg:
@@ -122,7 +127,16 @@ func ToffoliAll(c *circuit.Circuit, mode ToffoliMode) (*circuit.Circuit, error) 
 	if err != nil {
 		return nil, err
 	}
-	out := circuit.New(c.NumQubits)
+	ccx := toffoli6Len - 1
+	if mode == Eight {
+		ccx = toffoli8Len - 1
+	}
+	out := presized(withToffoli, func(n circuit.Name) int {
+		if n == circuit.CCX {
+			return ccx
+		}
+		return 0
+	})
 	for _, g := range withToffoli.Gates {
 		if g.Name != circuit.CCX {
 			out.Append(g)
@@ -146,7 +160,19 @@ func ToffoliAll(c *circuit.Circuit, mode ToffoliMode) (*circuit.Circuit, error) 
 // mode trios that form a triangle get the 6-CNOT form and linear trios the
 // 8-CNOT form with the physically middle qubit in the middle.
 func MappingAware(c *circuit.Circuit, graph *topo.Graph, mode ToffoliMode) (*circuit.Circuit, error) {
-	out := circuit.New(c.NumQubits)
+	ccx := toffoli8Len - 1 // Auto picks this form on a line
+	if mode == Six {
+		ccx = toffoli6Len - 1
+	}
+	out := presized(c, func(n circuit.Name) int {
+		switch n {
+		case circuit.CCX:
+			return ccx
+		case circuit.RCCX, circuit.RCCXdg:
+			return margolusLen - 1
+		}
+		return 0
+	})
 	for i, g := range c.Gates {
 		switch g.Name {
 		case circuit.CCX:
@@ -181,7 +207,15 @@ func rccxGate(out *circuit.Circuit, g circuit.Gate, graph *topo.Graph) error {
 // named single-qubit gates become u-gates. CCX/CCZ/MCX must already be
 // decomposed; they cause an error.
 func LowerToBasis(c *circuit.Circuit) (*circuit.Circuit, error) {
-	out := circuit.New(c.NumQubits)
+	out := presized(c, func(n circuit.Name) int {
+		switch n {
+		case circuit.SWAP, circuit.CZ:
+			return 2
+		case circuit.CP:
+			return 4
+		}
+		return 0
+	})
 	for i, g := range c.Gates {
 		if err := lowerGate(out, g); err != nil {
 			return nil, fmt.Errorf("decompose: gate %d: %w", i, err)
@@ -245,6 +279,21 @@ func lowerGate(out *circuit.Circuit, g circuit.Gate) error {
 		return fmt.Errorf("cannot lower %v to the {u1,u2,u3,cx} basis", g.Name)
 	}
 	return nil
+}
+
+// presized returns an empty circuit on c's qubits with room for c's gates
+// after expansion: one slot per gate, plus extra(name) for each gate, the
+// number of gates beyond one that its expansion appends. Appends past the
+// estimate still grow the slice, so it only saves regrowing the output,
+// never changes it.
+func presized(c *circuit.Circuit, extra func(circuit.Name) int) *circuit.Circuit {
+	size := len(c.Gates)
+	for _, g := range c.Gates {
+		size += extra(g.Name)
+	}
+	out := circuit.New(c.NumQubits)
+	out.Gates = make([]circuit.Gate, 0, size)
+	return out
 }
 
 // freeWires returns the qubits of an n-qubit circuit not used by the gate's

@@ -210,3 +210,38 @@ func randomMixedCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
 	}
 	return c
 }
+
+// TestExpansionPassesPresized: each expansion pass sizes its output from
+// its input, so on these inputs the output fills exactly the capacity it
+// started with and is never regrown.
+func TestExpansionPassesPresized(t *testing.T) {
+	logical := circuit.New(4)
+	logical.H(0).CCZ(0, 1, 2).CCX(2, 1, 0).CX(0, 3).RCCX(0, 2, 1).RCCXdg(0, 2, 1).CCX(1, 2, 3).T(3)
+	routed := circuit.New(4) // on Line(4): every trio is a line, no triangle
+	routed.H(0).CCX(0, 1, 2).SWAP(1, 2).CCX(3, 2, 1).RCCX(0, 2, 1).CX(2, 3)
+	lowerable := circuit.New(3)
+	lowerable.H(0).SWAP(0, 1).CZ(1, 2).CP(0.5, 0, 2).RZ(0.25, 1).CX(2, 0).Measure(0)
+	line := topo.Line(4)
+
+	check := func(what string, out *circuit.Circuit, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(out.Gates) != cap(out.Gates) {
+			t.Errorf("%s: %d gates in capacity %d", what, len(out.Gates), cap(out.Gates))
+		}
+	}
+	out, err := KeepToffoli(logical)
+	check("KeepToffoli", out, err)
+	for _, mode := range []ToffoliMode{Auto, Six, Eight} {
+		out, err = ToffoliAll(routed, mode)
+		check("ToffoliAll "+mode.String(), out, err)
+		out, err = MappingAware(routed, line, mode)
+		check("MappingAware "+mode.String(), out, err)
+		out, err = LowerToBasis(out)
+		check("LowerToBasis "+mode.String(), out, err)
+	}
+	out, err = LowerToBasis(lowerable)
+	check("LowerToBasis", out, err)
+}

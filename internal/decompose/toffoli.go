@@ -40,6 +40,14 @@ func (m ToffoliMode) String() string {
 	return fmt.Sprintf("mode(%d)", int(m))
 }
 
+// Gates appended by Toffoli6, Toffoli8 and Margolus; the expansion passes
+// size their output with them.
+const (
+	toffoli6Len = 15
+	toffoli8Len = 17
+	margolusLen = 7
+)
+
 // Toffoli6 appends the standard 6-CNOT Toffoli decomposition
 // (Nielsen & Chuang) for CCX(c1, c2, t). It uses CNOTs between all three
 // pairs: (c2,t), (c1,t), and (c1,c2).

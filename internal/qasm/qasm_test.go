@@ -1,6 +1,10 @@
 package qasm
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -213,4 +217,214 @@ func randomCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
 		}
 	}
 	return c
+}
+
+// emitGateFmt is the fmt-based gate renderer the emitters used before
+// AppendGate, kept as the reference AppendGate must match byte for byte.
+func emitGateFmt(g circuit.Gate) string {
+	switch g.Name {
+	case circuit.Measure:
+		q := g.Qubits[0]
+		return fmt.Sprintf("measure q[%d] -> c[%d];", q, q)
+	case circuit.Barrier:
+		parts := make([]string, len(g.Qubits))
+		for i, q := range g.Qubits {
+			parts[i] = fmt.Sprintf("q[%d]", q)
+		}
+		return "barrier " + strings.Join(parts, ", ") + ";"
+	}
+	var b strings.Builder
+	b.WriteString(g.Name.String())
+	if len(g.Params) > 0 {
+		b.WriteByte('(')
+		for i, p := range g.Params {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "%.17g", p)
+		}
+		b.WriteByte(')')
+	}
+	b.WriteByte(' ')
+	for i, q := range g.Qubits {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "q[%d]", q)
+	}
+	b.WriteByte(';')
+	return b.String()
+}
+
+// awkwardParams are the parameter values whose %.17g forms differ most:
+// signed zeros, values with no short decimal form, subnormals, extremes,
+// infinities and NaN.
+var awkwardParams = []float64{
+	0, math.Copysign(0, -1), math.Pi / 4, -math.Pi / 4, 0.1 + 0.2,
+	1e-300, 5e-324, 1e300, math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// allNames lists every valid gate kind.
+func allNames() []circuit.Name {
+	var names []circuit.Name
+	for n := circuit.Name(0); n.Valid(); n++ {
+		names = append(names, n)
+	}
+	return names
+}
+
+// gatesOf builds the gates TestAppendGateMatchesFmt renders for name: every
+// operand count the kind allows (2-6 for mcx, 0-6 for barrier), on small
+// and multi-digit qubits, with each awkward value in each parameter slot.
+func gatesOf(name circuit.Name) []circuit.Gate {
+	counts := []int{name.Arity()}
+	switch name {
+	case circuit.MCX:
+		counts = []int{2, 3, 4, 5, 6}
+	case circuit.Barrier:
+		counts = []int{0, 1, 2, 3, 4, 5, 6}
+	}
+	var gates []circuit.Gate
+	for _, n := range counts {
+		for _, base := range []int{0, 9, 98, 12345} {
+			qubits := make([]int, n)
+			for i := range qubits {
+				qubits[i] = base + i
+			}
+			k := name.ParamCount()
+			if k == 0 {
+				gates = append(gates, circuit.Gate{Name: name, Qubits: qubits})
+				continue
+			}
+			for i := range awkwardParams {
+				params := make([]float64, k)
+				for j := range params {
+					params[j] = awkwardParams[(i+j)%len(awkwardParams)]
+				}
+				gates = append(gates, circuit.Gate{Name: name, Qubits: qubits, Params: params})
+			}
+		}
+	}
+	return gates
+}
+
+func TestAppendGateMatchesFmt(t *testing.T) {
+	names := allNames()
+	if last := names[len(names)-1]; last != circuit.Barrier {
+		t.Fatalf("gate kinds end at %v, want barrier", last)
+	}
+	prefix := []byte("prefix;")
+	for _, name := range names {
+		for _, g := range gatesOf(name) {
+			want := emitGateFmt(g)
+			if got := string(AppendGate(nil, g)); got != want {
+				t.Errorf("%v %v %v: AppendGate %q, fmt %q", name, g.Qubits, g.Params, got, want)
+			}
+			buf := AppendGate(append([]byte(nil), prefix...), g)
+			if !bytes.HasPrefix(buf, prefix) || string(buf[len(prefix):]) != want {
+				t.Errorf("%v: AppendGate after a prefix wrote %q", name, buf)
+			}
+		}
+	}
+}
+
+// FuzzAppendGate compares AppendGate with the fmt reference on arbitrary
+// names (valid or not), operand lists and parameter bits.
+func FuzzAppendGate(f *testing.F) {
+	f.Add(uint8(circuit.U3), uint8(3), []byte{0, 1}, math.Float64bits(math.Pi/4), math.Float64bits(-0.0), math.Float64bits(math.NaN()))
+	f.Add(uint8(circuit.MCX), uint8(0), []byte{0, 1, 0, 2, 0, 3, 1, 0}, uint64(0), uint64(1), uint64(0x7ff0000000000000))
+	f.Add(uint8(circuit.Measure), uint8(1), []byte{0, 7}, uint64(1), uint64(0), uint64(0))
+	f.Add(uint8(circuit.Barrier), uint8(2), []byte{}, uint64(0), uint64(0), uint64(0))
+	f.Add(uint8(200), uint8(1), []byte{255, 255}, uint64(0), uint64(0), uint64(0))
+	valid := len(allNames())
+	f.Fuzz(func(t *testing.T, name, nparams uint8, qubits []byte, p0, p1, p2 uint64) {
+		g := circuit.Gate{Name: circuit.Name(int(name)%(valid+2) - 1)} // -1 and valid are unknown kinds
+		for i := 0; i+1 < len(qubits) && i < 16; i += 2 {
+			g.Qubits = append(g.Qubits, int(binary.BigEndian.Uint16(qubits[i:])))
+		}
+		if g.Name == circuit.Measure && len(g.Qubits) == 0 {
+			return // a measure names its qubit; neither renderer handles none
+		}
+		for _, bits := range []uint64{p0, p1, p2}[:nparams%4] {
+			g.Params = append(g.Params, math.Float64frombits(bits))
+		}
+		if got, want := string(AppendGate(nil, g)), emitGateFmt(g); got != want {
+			t.Fatalf("%+v: AppendGate %q, fmt %q", g, got, want)
+		}
+	})
+}
+
+// TestEmitterZeroAllocsPerGate: once its line buffer has grown, the
+// emitter renders and buffers a gate without allocating.
+func TestEmitterZeroAllocsPerGate(t *testing.T) {
+	var gates []circuit.Gate
+	for _, name := range allNames() {
+		gates = append(gates, gatesOf(name)...)
+	}
+	e, err := NewEmitter(io.Discard, 12346, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emitAll := func() {
+		for _, g := range gates {
+			if err := e.EmitGate(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	emitAll() // warm: grow the line buffer to the longest statement
+	if allocs := testing.AllocsPerRun(10, emitAll); allocs != 0 {
+		t.Fatalf("EmitGate allocated %.1f times per %d gates, want 0", allocs, len(gates))
+	}
+}
+
+// TestEmitRejectsUnknownGate: a gate whose name has no mnemonic would print
+// as text Parse rejects, so Emit refuses it with the gate's index.
+func TestEmitRejectsUnknownGate(t *testing.T) {
+	c := circuit.New(2)
+	c.H(0)
+	c.Gates = append(c.Gates, circuit.Gate{Name: circuit.Name(200), Qubits: []int{0}})
+	src, err := Emit(c)
+	if err == nil {
+		t.Fatalf("Emit accepted an unknown gate:\n%s", src)
+	}
+	if want := "qasm: gate 1: "; !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("Emit error %q, want prefix %q", err, want)
+	}
+}
+
+// TestEmitterRejectsUnknownGate: EmitGate refuses the same gate with the
+// same error, writes none of it, and stays dead afterwards.
+func TestEmitterRejectsUnknownGate(t *testing.T) {
+	var out bytes.Buffer
+	e, err := NewEmitter(&out, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EmitGate(circuit.NewGate(circuit.H, []int{0})); err != nil {
+		t.Fatal(err)
+	}
+	bad := circuit.Gate{Name: circuit.Name(200), Qubits: []int{0}}
+	err = e.EmitGate(bad)
+	if err == nil {
+		t.Fatal("EmitGate accepted an unknown gate")
+	}
+	c := circuit.New(2)
+	c.H(0)
+	c.Gates = append(c.Gates, bad)
+	if _, emitErr := Emit(c); emitErr == nil || emitErr.Error() != err.Error() {
+		t.Fatalf("EmitGate error %q, Emit error %v", err, emitErr)
+	}
+	if again := e.EmitGate(circuit.NewGate(circuit.H, []int{1})); again != err {
+		t.Fatalf("after an error EmitGate returned %v, want %v", again, err)
+	}
+	if ferr := e.Flush(); ferr != err {
+		t.Fatalf("Flush returned %v, want %v", ferr, err)
+	}
+	if e.Gates() != 1 {
+		t.Fatalf("Gates() = %d, want 1", e.Gates())
+	}
+	if n := e.w.Buffered(); n != len("h q[0];\n") {
+		t.Fatalf("%d bytes buffered, want only the h gate's line", n)
+	}
 }

@@ -127,6 +127,12 @@ func (r *Reader) NumQubits() int {
 // a streaming pipeline uses this to reproduce Emit's header byte-for-byte.
 func (r *Reader) HasCreg() bool { return r.hasCreg }
 
+// emitBufferSize is the emitter's write buffer. Each write may cost the
+// destination a system call or, on the stream endpoint, a flushed HTTP
+// chunk, and a compiled Toffoli program runs to megabytes, so the emitter
+// writes 64 KiB blocks rather than bufio's default 4 KiB.
+const emitBufferSize = 64 << 10
+
 // Emitter is the push-based dual of Reader: it renders gates to an
 // io.Writer one at a time in exactly the byte format Emit produces, so a
 // windowed pipeline that feeds every gate of a circuit through EmitGate
@@ -136,6 +142,7 @@ func (r *Reader) HasCreg() bool { return r.hasCreg }
 // scanning for measures, which a stream cannot do).
 type Emitter struct {
 	w     *bufio.Writer
+	line  []byte // the gate being rendered, reused across gates
 	gates int
 	err   error
 }
@@ -143,13 +150,8 @@ type Emitter struct {
 // NewEmitter writes the OpenQASM 2.0 header for an n-qubit program (with a
 // matching creg when withCreg is set) and returns an emitter for its gates.
 func NewEmitter(w io.Writer, n int, withCreg bool) (*Emitter, error) {
-	e := &Emitter{w: bufio.NewWriter(w)}
-	e.w.WriteString("OPENQASM 2.0;\n")
-	e.w.WriteString("include \"qelib1.inc\";\n")
-	fmt.Fprintf(e.w, "qreg q[%d];\n", n)
-	if withCreg {
-		fmt.Fprintf(e.w, "creg c[%d];\n", n)
-	}
+	e := &Emitter{w: bufio.NewWriterSize(w, emitBufferSize), line: make([]byte, 0, 128)}
+	e.w.Write(appendHeader(e.line, n, withCreg))
 	if err := e.w.Flush(); err != nil {
 		e.err = err
 		return nil, err
@@ -158,19 +160,19 @@ func NewEmitter(w io.Writer, n int, withCreg bool) (*Emitter, error) {
 }
 
 // EmitGate appends one gate statement. Rendering is identical to Emit's
-// per-gate lines. After an error (render or I/O), the emitter is dead and
-// every later call returns the same error.
+// per-gate lines, and a gate Emit refuses is refused here with the same
+// error. After an error (render or I/O), the emitter is dead and every
+// later call returns the same error.
 func (e *Emitter) EmitGate(g circuit.Gate) error {
 	if e.err != nil {
 		return e.err
 	}
-	line, err := emitGate(g)
-	if err != nil {
-		e.err = fmt.Errorf("qasm: gate %d: %w", e.gates, err)
+	if !g.Name.Valid() {
+		e.err = unknownGate(e.gates, g.Name)
 		return e.err
 	}
-	e.w.WriteString(line)
-	if err := e.w.WriteByte('\n'); err != nil {
+	e.line = append(AppendGate(e.line[:0], g), '\n')
+	if _, err := e.w.Write(e.line); err != nil {
 		e.err = err
 		return e.err
 	}

@@ -180,10 +180,15 @@ func TestOverloadReturns429(t *testing.T) {
 		art *Artifact
 		err error
 	}
+	// Resolve every request before A starts: building and parsing a
+	// 4,000-gate request takes milliseconds, and A must still hold the
+	// worker when C arrives.
+	specA, specB, specC := mustResolve(t, slowRequest(1)), mustResolve(t, slowRequest(2)), mustResolve(t, slowRequest(3))
+
 	// A occupies the only worker.
 	aDone := make(chan res, 1)
 	go func() {
-		art, _, err := s.Compile(context.Background(), mustResolve(t, slowRequest(1)))
+		art, _, err := s.Compile(context.Background(), specA)
 		aDone <- res{art, err}
 	}()
 	waitFor(t, func() bool {
@@ -194,13 +199,13 @@ func TestOverloadReturns429(t *testing.T) {
 	// B fills the queue's single slot.
 	bDone := make(chan res, 1)
 	go func() {
-		art, _, err := s.Compile(context.Background(), mustResolve(t, slowRequest(2)))
+		art, _, err := s.Compile(context.Background(), specB)
 		bDone <- res{art, err}
 	}()
 	waitFor(t, func() bool { qlen, _ := s.QueueStats(); return qlen == 1 })
 
 	// C must be shed.
-	_, _, err := s.Compile(context.Background(), mustResolve(t, slowRequest(3)))
+	_, _, err := s.Compile(context.Background(), specC)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overflow request got %v, want ErrOverloaded", err)
 	}
@@ -263,14 +268,17 @@ func TestDepartedClientStillFeedsCache(t *testing.T) {
 func TestCloseAnswersQueuedWaiters(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
 	done := make(chan error, 2)
+	// Resolve both requests before A starts, so A still holds the worker
+	// when B arrives.
+	specA, specB := mustResolve(t, slowRequest(21)), mustResolve(t, slowRequest(22))
 	// A occupies the worker; B sits in the queue.
 	go func() {
-		_, _, err := s.Compile(context.Background(), mustResolve(t, slowRequest(21)))
+		_, _, err := s.Compile(context.Background(), specA)
 		done <- err
 	}()
 	waitFor(t, func() bool { qlen, _ := s.QueueStats(); return qlen == 0 && len(s.waitersSnapshot()) == 1 })
 	go func() {
-		_, _, err := s.Compile(context.Background(), mustResolve(t, slowRequest(22)))
+		_, _, err := s.Compile(context.Background(), specB)
 		done <- err
 	}()
 	waitFor(t, func() bool { qlen, _ := s.QueueStats(); return qlen == 1 })

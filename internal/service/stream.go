@@ -116,8 +116,10 @@ func (s *Service) resolveStreamQuery(q url.Values) (*JobSpec, compiler.StreamOpt
 	return &JobSpec{Graph: g}, sopts, nil
 }
 
-// flushWriter pushes each emitted window onto the wire as its own chunk, so
-// a client sees compiled output while its upload is still streaming in. It
+// flushWriter flushes the response after every Write, so a client sees
+// compiled output while its upload is still streaming in. The writes come
+// from the QASM emitter, which buffers 64 KiB and also flushes at the end of
+// each window, so a window goes out as several chunks of up to 64 KiB. It
 // also counts bytes: zero bytes written means the status code is still ours
 // to choose when a compile fails early.
 type flushWriter struct {

@@ -27,9 +27,11 @@ import (
 	"trios/internal/sched"
 )
 
-// DefaultWindow is the gate-window size when none is given: big enough to
-// amortize per-window pass overhead, small enough that a handful of
-// in-flight windows stay cache-resident.
+// DefaultWindow is the gate-window size when none is given, big enough to
+// amortize per-window pass overhead. It counts input gates, and a window is
+// held in memory as it is compiled: a Toffoli-heavy window leaves lowering
+// ten or more times larger, megabytes of gates at this size, so in-flight
+// windows do not stay cache-resident.
 const DefaultWindow = 4096
 
 // Window is one cut of the program on its way from the reader to the
