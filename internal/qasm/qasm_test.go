@@ -379,43 +379,33 @@ func TestEmitterZeroAllocsPerGate(t *testing.T) {
 }
 
 // TestEmitRejectsUnknownGate: a gate whose name has no mnemonic would print
-// as text Parse rejects, so Emit refuses it with the gate's index.
+// as text Parse rejects, so Emit refuses it with the gate's index, and
+// EmitGate refuses it with the same error, writes none of it and stays dead.
 func TestEmitRejectsUnknownGate(t *testing.T) {
-	c := circuit.New(2)
-	c.H(0)
-	c.Gates = append(c.Gates, circuit.Gate{Name: circuit.Name(200), Qubits: []int{0}})
-	src, err := Emit(c)
-	if err == nil {
-		t.Fatalf("Emit accepted an unknown gate:\n%s", src)
-	}
-	if want := "qasm: gate 1: "; !strings.HasPrefix(err.Error(), want) {
-		t.Fatalf("Emit error %q, want prefix %q", err, want)
-	}
-}
-
-// TestEmitterRejectsUnknownGate: EmitGate refuses the same gate with the
-// same error, writes none of it, and stays dead afterwards.
-func TestEmitterRejectsUnknownGate(t *testing.T) {
-	var out bytes.Buffer
-	e, err := NewEmitter(&out, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.EmitGate(circuit.NewGate(circuit.H, []int{0})); err != nil {
-		t.Fatal(err)
-	}
 	bad := circuit.Gate{Name: circuit.Name(200), Qubits: []int{0}}
-	err = e.EmitGate(bad)
-	if err == nil {
-		t.Fatal("EmitGate accepted an unknown gate")
-	}
 	c := circuit.New(2)
 	c.H(0)
 	c.Gates = append(c.Gates, bad)
-	if _, emitErr := Emit(c); emitErr == nil || emitErr.Error() != err.Error() {
-		t.Fatalf("EmitGate error %q, Emit error %v", err, emitErr)
+	src, emitErr := Emit(c)
+	if emitErr == nil {
+		t.Fatalf("Emit accepted an unknown gate:\n%s", src)
 	}
-	if again := e.EmitGate(circuit.NewGate(circuit.H, []int{1})); again != err {
+	if want := "qasm: gate 1: "; !strings.HasPrefix(emitErr.Error(), want) {
+		t.Fatalf("Emit error %q, want prefix %q", emitErr, want)
+	}
+
+	e, err := NewEmitter(io.Discard, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EmitGate(c.Gates[0]); err != nil {
+		t.Fatal(err)
+	}
+	err = e.EmitGate(bad)
+	if err == nil || err.Error() != emitErr.Error() {
+		t.Fatalf("EmitGate error %v, want Emit's %q", err, emitErr)
+	}
+	if again := e.EmitGate(c.Gates[0]); again != err {
 		t.Fatalf("after an error EmitGate returned %v, want %v", again, err)
 	}
 	if ferr := e.Flush(); ferr != err {
