@@ -27,12 +27,15 @@ bench:
 
 # QASM round-trip fuzz, 10 s per target (go test fuzzes one target per
 # run): FuzzParse re-emits and re-parses whatever Parse accepts,
-# FuzzStreamParse holds the pull-based reader to Parse gate for gate, and
+# FuzzStreamParse holds the pull-based reader to Parse gate for gate,
+# FuzzParseMatchesReference holds Parse and the reader to the strings-based
+# reference parser (verdict, gates, register size and error), and
 # FuzzAppendGate holds the gate renderer to its fmt reference. The seed
 # corpora run in `make test`; this fuzzes beyond them.
 fuzz-qasm:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/qasm/
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamParse$$' -fuzztime 10s ./internal/qasm/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMatchesReference$$' -fuzztime 10s ./internal/qasm/
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendGate$$' -fuzztime 10s ./internal/qasm/
 
 # Confluence fuzz: random rule-application orders (seeded pop orders) must

@@ -213,8 +213,31 @@ func serve(ctx context.Context, cfg serveConfig) error {
 		ReadTimeout:       time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// One cleanup for every exit path, error returns included: it closes
+	// the servers and the listeners opened below, and the service within
+	// the grace deadline, so nothing serve started outlives it. After a
+	// graceful drain every step is a no-op.
+	var (
+		ln, dln  net.Listener
+		debugSrv *http.Server
+	)
+	defer func() {
+		for _, l := range []net.Listener{ln, dln} {
+			if l != nil {
+				_ = l.Close()
+			}
+		}
+		_ = srv.Close()
+		if debugSrv != nil {
+			_ = debugSrv.Close()
+		}
+		closeCtx, cancel := context.WithTimeout(context.Background(), cfg.grace)
+		defer cancel()
+		_ = svc.Close(closeCtx)
+	}()
 
-	ln, err := net.Listen("tcp", cfg.addr)
+	var err error
+	ln, err = net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
 	}
@@ -227,9 +250,8 @@ func serve(ctx context.Context, cfg serveConfig) error {
 
 	// The opt-in debug listener: pprof + the trace ring, on its own port so
 	// profiling endpoints never share the serving surface.
-	var debugSrv *http.Server
 	if cfg.debugAddr != "" {
-		dln, err := net.Listen("tcp", cfg.debugAddr)
+		dln, err = net.Listen("tcp", cfg.debugAddr)
 		if err != nil {
 			return err
 		}

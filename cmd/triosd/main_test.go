@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -42,6 +44,45 @@ func TestRunBadAddr(t *testing.T) {
 	err := run(context.Background(), []string{"-addr", "256.0.0.1:http"}, io.Discard, nil)
 	if err == nil || errors.Is(err, errFlagParse) {
 		t.Fatalf("err = %v, want a listen error", err)
+	}
+}
+
+// TestRunListenFailureReleasesEverything: when the serving listener, or the
+// debug listener after it, cannot bind, run returns the error and leaves
+// nothing behind: the serving port can be bound again and the service's
+// goroutines (pool workers, closer, dispatcher) end.
+func TestRunListenFailureReleasesEverything(t *testing.T) {
+	for _, debug := range []bool{false, true} {
+		busy, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		main := busy.Addr().String()
+		args := []string{"-addr", main, "-workers", "2", "-grace", "5s"}
+		if debug {
+			main = freeAddr(t)
+			args = []string{"-addr", main, "-debug-addr", busy.Addr().String(), "-workers", "2", "-grace", "5s"}
+		}
+		base := runtime.NumGoroutine()
+		err = run(context.Background(), args, io.Discard, nil)
+		busy.Close()
+		if err == nil || errors.Is(err, errFlagParse) {
+			t.Fatalf("debug=%v: err = %v, want a listen error", debug, err)
+		}
+		ln, err := net.Listen("tcp", main)
+		if err != nil {
+			t.Fatalf("debug=%v: serving address still held after run returned: %v", debug, err)
+		}
+		ln.Close()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				var dump strings.Builder
+				_ = pprof.Lookup("goroutine").WriteTo(&dump, 1)
+				t.Fatalf("debug=%v: %d goroutines after run returned, %d before:\n%s",
+					debug, runtime.NumGoroutine(), base, dump.String())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
 	}
 }
 

@@ -10,6 +10,91 @@ import (
 type Circuit struct {
 	NumQubits int
 	Gates     []Gate
+	// ops is the slab the builders carve gate operands from. It is held
+	// by pointer, so value copies of a circuit share one cursor and never
+	// hand out the same region twice.
+	ops *operands
+}
+
+// Operand chunks grow with the circuit: the first holds firstChunk
+// operands and each next one twice the last, up to maxChunk (32 KiB of
+// ints or float64s, the largest small-object size), so a five-gate
+// circuit pins a few hundred bytes and a long one allocates once per
+// maxChunk operands.
+const (
+	firstChunk = 32
+	maxChunk   = 4096
+)
+
+// operands is a circuit's operand slab: one chunk series for qubits and
+// one for parameters. A chunk stays alive while any gate carved from it
+// does.
+type operands struct {
+	qubits chunks[int]
+	params chunks[float64]
+}
+
+// chunks is one series of operand chunks: the unused tail of the current
+// chunk and the size of the last one.
+type chunks[T any] struct {
+	free []T
+	last int
+}
+
+// carve returns n fresh elements from the current chunk, starting a new
+// chunk when fewer than n remain. The result is capacity-clipped, so
+// appending to one gate's operands reallocates instead of overwriting its
+// neighbour's. A list longer than a whole chunk gets an allocation of its
+// own.
+func (k *chunks[T]) carve(n int) []T {
+	if n == 0 {
+		return []T{}
+	}
+	if n > len(k.free) {
+		size := min(max(2*k.last, firstChunk), maxChunk)
+		if n > size {
+			return make([]T, n)
+		}
+		k.last = size
+		k.free = make([]T, size)
+	}
+	s := k.free[:n:n]
+	k.free = k.free[n:]
+	return s
+}
+
+// slab returns the circuit's operand slab, creating it on first use.
+func (c *Circuit) slab() *operands {
+	if c.ops == nil {
+		c.ops = new(operands)
+	}
+	return c.ops
+}
+
+// AppendNew appends NewGate(name, qubits, params...), with the operands
+// copied into the circuit's slab: the caller keeps qubits and params, and
+// the gate costs no allocation of its own. It panics as NewGate does.
+func (c *Circuit) AppendNew(name Name, qubits []int, params ...float64) *Circuit {
+	o := c.slab()
+	q := o.qubits.carve(len(qubits))
+	copy(q, qubits)
+	var p []float64
+	if len(params) > 0 {
+		p = o.params.carve(len(params))
+		copy(p, params)
+	}
+	return c.add(NewGate(name, q, p...))
+}
+
+// AppendMapped appends g with every qubit q replaced by f(q), the new
+// operand list carved from the circuit's slab; g's parameters are shared,
+// as Gate.Remap shares them. It panics as Gate.Remap does.
+func (c *Circuit) AppendMapped(g Gate, f func(int) int) *Circuit {
+	q := c.slab().qubits.carve(len(g.Qubits))
+	for i, v := range g.Qubits {
+		q[i] = f(v)
+	}
+	return c.add(NewGate(g.Name, q, g.Params...))
 }
 
 // New returns an empty circuit on n qubits.
@@ -24,13 +109,19 @@ func New(n int) *Circuit {
 // references a qubit beyond the current range.
 func (c *Circuit) Append(gs ...Gate) *Circuit {
 	for _, g := range gs {
-		for _, q := range g.Qubits {
-			if q >= c.NumQubits {
-				c.NumQubits = q + 1
-			}
-		}
-		c.Gates = append(c.Gates, g)
+		c.add(g)
 	}
+	return c
+}
+
+// add appends one gate as Append does.
+func (c *Circuit) add(g Gate) *Circuit {
+	for _, q := range g.Qubits {
+		if q >= c.NumQubits {
+			c.NumQubits = q + 1
+		}
+	}
+	c.Gates = append(c.Gates, g)
 	return c
 }
 
@@ -43,76 +134,84 @@ func (c *Circuit) AppendCircuit(o *Circuit) *Circuit {
 }
 
 // Builder helpers. Each appends one gate and returns the circuit to allow
-// chaining when constructing test fixtures and benchmark circuits.
+// chaining when constructing test fixtures and benchmark circuits. Their
+// operands come from the circuit's slab (see AppendNew).
 
-func (c *Circuit) I(q int) *Circuit    { return c.Append(NewGate(I, []int{q})) }
-func (c *Circuit) X(q int) *Circuit    { return c.Append(NewGate(X, []int{q})) }
-func (c *Circuit) Y(q int) *Circuit    { return c.Append(NewGate(Y, []int{q})) }
-func (c *Circuit) Z(q int) *Circuit    { return c.Append(NewGate(Z, []int{q})) }
-func (c *Circuit) H(q int) *Circuit    { return c.Append(NewGate(H, []int{q})) }
-func (c *Circuit) S(q int) *Circuit    { return c.Append(NewGate(S, []int{q})) }
-func (c *Circuit) Sdg(q int) *Circuit  { return c.Append(NewGate(Sdg, []int{q})) }
-func (c *Circuit) T(q int) *Circuit    { return c.Append(NewGate(T, []int{q})) }
-func (c *Circuit) Tdg(q int) *Circuit  { return c.Append(NewGate(Tdg, []int{q})) }
-func (c *Circuit) SX(q int) *Circuit   { return c.Append(NewGate(SX, []int{q})) }
-func (c *Circuit) SXdg(q int) *Circuit { return c.Append(NewGate(SXdg, []int{q})) }
+func (c *Circuit) I(q int) *Circuit    { return c.AppendNew(I, []int{q}) }
+func (c *Circuit) X(q int) *Circuit    { return c.AppendNew(X, []int{q}) }
+func (c *Circuit) Y(q int) *Circuit    { return c.AppendNew(Y, []int{q}) }
+func (c *Circuit) Z(q int) *Circuit    { return c.AppendNew(Z, []int{q}) }
+func (c *Circuit) H(q int) *Circuit    { return c.AppendNew(H, []int{q}) }
+func (c *Circuit) S(q int) *Circuit    { return c.AppendNew(S, []int{q}) }
+func (c *Circuit) Sdg(q int) *Circuit  { return c.AppendNew(Sdg, []int{q}) }
+func (c *Circuit) T(q int) *Circuit    { return c.AppendNew(T, []int{q}) }
+func (c *Circuit) Tdg(q int) *Circuit  { return c.AppendNew(Tdg, []int{q}) }
+func (c *Circuit) SX(q int) *Circuit   { return c.AppendNew(SX, []int{q}) }
+func (c *Circuit) SXdg(q int) *Circuit { return c.AppendNew(SXdg, []int{q}) }
 
-func (c *Circuit) RX(theta float64, q int) *Circuit { return c.Append(NewGate(RX, []int{q}, theta)) }
-func (c *Circuit) RY(theta float64, q int) *Circuit { return c.Append(NewGate(RY, []int{q}, theta)) }
-func (c *Circuit) RZ(theta float64, q int) *Circuit { return c.Append(NewGate(RZ, []int{q}, theta)) }
+func (c *Circuit) RX(theta float64, q int) *Circuit { return c.AppendNew(RX, []int{q}, theta) }
+func (c *Circuit) RY(theta float64, q int) *Circuit { return c.AppendNew(RY, []int{q}, theta) }
+func (c *Circuit) RZ(theta float64, q int) *Circuit { return c.AppendNew(RZ, []int{q}, theta) }
 func (c *Circuit) U1(lambda float64, q int) *Circuit {
-	return c.Append(NewGate(U1, []int{q}, lambda))
+	return c.AppendNew(U1, []int{q}, lambda)
 }
 func (c *Circuit) U2(phi, lambda float64, q int) *Circuit {
-	return c.Append(NewGate(U2, []int{q}, phi, lambda))
+	return c.AppendNew(U2, []int{q}, phi, lambda)
 }
 func (c *Circuit) U3(theta, phi, lambda float64, q int) *Circuit {
-	return c.Append(NewGate(U3, []int{q}, theta, phi, lambda))
+	return c.AppendNew(U3, []int{q}, theta, phi, lambda)
 }
 
-func (c *Circuit) CX(ctl, tgt int) *Circuit { return c.Append(NewGate(CX, []int{ctl, tgt})) }
-func (c *Circuit) CZ(a, b int) *Circuit     { return c.Append(NewGate(CZ, []int{a, b})) }
+func (c *Circuit) CX(ctl, tgt int) *Circuit { return c.AppendNew(CX, []int{ctl, tgt}) }
+func (c *Circuit) CZ(a, b int) *Circuit     { return c.AppendNew(CZ, []int{a, b}) }
 func (c *Circuit) CP(lambda float64, a, b int) *Circuit {
-	return c.Append(NewGate(CP, []int{a, b}, lambda))
+	return c.AppendNew(CP, []int{a, b}, lambda)
 }
-func (c *Circuit) SWAP(a, b int) *Circuit { return c.Append(NewGate(SWAP, []int{a, b})) }
+func (c *Circuit) SWAP(a, b int) *Circuit { return c.AppendNew(SWAP, []int{a, b}) }
 
-func (c *Circuit) CCX(c1, c2, tgt int) *Circuit { return c.Append(NewGate(CCX, []int{c1, c2, tgt})) }
-func (c *Circuit) CCZ(a, b, d int) *Circuit     { return c.Append(NewGate(CCZ, []int{a, b, d})) }
+func (c *Circuit) CCX(c1, c2, tgt int) *Circuit { return c.AppendNew(CCX, []int{c1, c2, tgt}) }
+func (c *Circuit) CCZ(a, b, d int) *Circuit     { return c.AppendNew(CCZ, []int{a, b, d}) }
 func (c *Circuit) RCCX(c1, c2, tgt int) *Circuit {
-	return c.Append(NewGate(RCCX, []int{c1, c2, tgt}))
+	return c.AppendNew(RCCX, []int{c1, c2, tgt})
 }
 func (c *Circuit) RCCXdg(c1, c2, tgt int) *Circuit {
-	return c.Append(NewGate(RCCXdg, []int{c1, c2, tgt}))
+	return c.AppendNew(RCCXdg, []int{c1, c2, tgt})
 }
 
 // MCX appends a multi-controlled X with the given controls and target.
 func (c *Circuit) MCX(controls []int, tgt int) *Circuit {
-	return c.Append(NewGate(MCX, append(append([]int{}, controls...), tgt)))
+	q := c.slab().qubits.carve(len(controls) + 1)
+	copy(q, controls)
+	q[len(controls)] = tgt
+	return c.add(NewGate(MCX, q))
 }
 
-func (c *Circuit) Measure(q int) *Circuit { return c.Append(NewGate(Measure, []int{q})) }
+func (c *Circuit) Measure(q int) *Circuit { return c.AppendNew(Measure, []int{q}) }
 
 // Barrier appends a barrier over the given qubits (all qubits if none given).
 func (c *Circuit) Barrier(qs ...int) *Circuit {
 	if len(qs) == 0 {
-		qs = make([]int, c.NumQubits)
-		for i := range qs {
-			qs[i] = i
+		all := c.slab().qubits.carve(c.NumQubits)
+		for i := range all {
+			all[i] = i
 		}
+		return c.add(Gate{Name: Barrier, Qubits: all})
 	}
-	return c.Append(Gate{Name: Barrier, Qubits: qs})
+	q := c.slab().qubits.carve(len(qs))
+	copy(q, qs)
+	return c.add(Gate{Name: Barrier, Qubits: q})
 }
 
 // Copy returns a deep copy of the circuit.
 func (c *Circuit) Copy() *Circuit {
 	out := &Circuit{NumQubits: c.NumQubits, Gates: make([]Gate, len(c.Gates))}
+	o := out.slab()
 	for i, g := range c.Gates {
-		q := make([]int, len(g.Qubits))
+		q := o.qubits.carve(len(g.Qubits))
 		copy(q, g.Qubits)
 		var p []float64
 		if len(g.Params) > 0 {
-			p = make([]float64, len(g.Params))
+			p = o.params.carve(len(g.Params))
 			copy(p, g.Params)
 		}
 		out.Gates[i] = Gate{Name: g.Name, Qubits: q, Params: p}
@@ -176,7 +275,7 @@ func (c *Circuit) Equal(o *Circuit) bool {
 func (c *Circuit) Remap(n int, f func(int) int) *Circuit {
 	out := New(n)
 	for _, g := range c.Gates {
-		out.Append(g.Remap(f))
+		out.AppendMapped(g, f)
 	}
 	return out
 }

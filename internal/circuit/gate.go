@@ -10,8 +10,10 @@
 package circuit
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -123,18 +125,35 @@ func (n Name) Arity() int {
 
 // ParseName converts an OpenQASM-style mnemonic to a Name.
 func ParseName(s string) (Name, bool) {
-	for i, g := range gateNames {
-		if g == s {
-			return Name(i), true
+	if len(s) == 0 || int(s[0]) >= len(namesByFirst) {
+		return 0, false
+	}
+	for _, n := range namesByFirst[s[0]] {
+		if gateNames[n] == s {
+			return n, true
 		}
 	}
 	return 0, false
 }
 
+// namesByFirst groups the gate kinds by the first letter of their
+// mnemonic, so ParseName compares s with at most five mnemonics.
+var namesByFirst = func() (t [128][]Name) {
+	for n, g := range gateNames {
+		t[g[0]] = append(t[g[0]], Name(n))
+	}
+	return t
+}()
+
 // Gate is a single operation on one or more qubits.
 //
 // Qubits are logical indices before mapping and physical hardware indices
 // after. For controlled gates the controls come first and the target last.
+//
+// A gate's Qubits and Params are read-only once the gate is built: the
+// circuit builders carve them from chunks the circuit shares among many
+// gates, and copies of a gate share them. To change a gate's operands,
+// build a new gate (On, Remap) or copy the circuit (Copy is deep).
 type Gate struct {
 	Name   Name
 	Qubits []int
@@ -153,17 +172,57 @@ func NewGate(name Name, qubits []int, params ...float64) Gate {
 	if p := name.ParamCount(); len(params) != p {
 		panic(fmt.Sprintf("circuit: gate %v expects %d params, got %d", name, p, len(params)))
 	}
-	seen := make(map[int]bool, len(qubits))
-	for _, q := range qubits {
+	// Report the first operand that is negative or repeats an earlier one.
+	neg := len(qubits)
+	for i, q := range qubits {
 		if q < 0 {
-			panic(fmt.Sprintf("circuit: gate %v has negative qubit %d", name, q))
+			neg = i
+			break
 		}
-		if seen[q] {
-			panic(fmt.Sprintf("circuit: gate %v has duplicate qubit %d", name, q))
-		}
-		seen[q] = true
+	}
+	if i := FirstRepeat(qubits[:neg]); i >= 0 {
+		panic(fmt.Sprintf("circuit: gate %v has duplicate qubit %d", name, qubits[i]))
+	}
+	if neg < len(qubits) {
+		panic(fmt.Sprintf("circuit: gate %v has negative qubit %d", name, qubits[neg]))
 	}
 	return Gate{Name: name, Qubits: qubits, Params: params}
+}
+
+// smallOperands is the longest operand list FirstRepeat checks pairwise.
+// Gates of the basis have at most three operands; only an mcx or a barrier
+// is longer, and a hostile mcx line can carry thousands.
+const smallOperands = 8
+
+// FirstRepeat returns the index of the first operand of qs equal to an
+// earlier one, or -1 when all are distinct. Short lists are scanned
+// pairwise without allocating; longer ones are checked by sorting operand
+// positions, so the check stays O(n log n).
+func FirstRepeat(qs []int) int {
+	if len(qs) <= smallOperands {
+		for i := 1; i < len(qs); i++ {
+			if slices.Contains(qs[:i], qs[i]) {
+				return i
+			}
+		}
+		return -1
+	}
+	pos := make([]int, len(qs))
+	for i := range pos {
+		pos[i] = i
+	}
+	slices.SortFunc(pos, func(a, b int) int {
+		return cmp.Or(cmp.Compare(qs[a], qs[b]), cmp.Compare(a, b))
+	})
+	// Equal operands are now adjacent, in position order: every position
+	// but the first of each run repeats an earlier one.
+	first := -1
+	for k := 1; k < len(pos); k++ {
+		if qs[pos[k]] == qs[pos[k-1]] && (first < 0 || pos[k] < first) {
+			first = pos[k]
+		}
+	}
+	return first
 }
 
 // Arity returns the number of qubits this gate instance acts on.

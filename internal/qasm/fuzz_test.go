@@ -11,29 +11,7 @@ import (
 // form must parse back — the canonicalization the compile cache hashes is a
 // fixed point.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0], q[1];\nccx q[0], q[1], q[2];\n",
-		"qreg q[2]; rz(pi/2) q[0]; u3(0.1, -pi, 3*pi) q[1]; measure q[0] -> c[0];",
-		"qreg q[5]; mcx q[0], q[1], q[2], q[3], q[4]; barrier q[0], q[1];",
-		"qreg q[1]; rx(-pi/4) q[0]; // comment\n",
-		"creg c[2]; qreg q[2]; swap q[0], q[1];",
-		"qreg q[2]; cx q[0], q[0];",
-		"qreg q[2]; cp(0.5) q[0], q[1];",
-		"OPENQASM 2.0; qreg r[4]; cx r[3], r[0]; measure r[3] -> c[3];",
-		"qreg q[9999999999999999999];",
-		"qreg q[2]; rz() q[0];",
-		"qreg q[2]; rz(pi/0) q[0];",
-		"qreg q[2]; h q[-1];",
-		"qreg q[2]; h q[99];",
-		"x q[0]; qreg q[1];",
-		"qreg q[1]; qreg p[1];",
-		"qreg q[2]; mcx q[0];",
-		"qreg q[2]; barrier ;",
-		"qreg q[2]; measure q[0];",
-		"qreg q[2]; h (q[0]);",
-		"qreg q[2]; u1(1e309) q[0];",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -57,4 +35,29 @@ func FuzzParse(f *testing.F) {
 				src, c.NumQubits, back.NumQubits, len(c.Gates), len(back.Gates))
 		}
 	})
+}
+
+// parseSeeds is FuzzParse's seed corpus, shared with
+// FuzzParseMatchesReference.
+var parseSeeds = []string{
+	"OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0], q[1];\nccx q[0], q[1], q[2];\n",
+	"qreg q[2]; rz(pi/2) q[0]; u3(0.1, -pi, 3*pi) q[1]; measure q[0] -> c[0];",
+	"qreg q[5]; mcx q[0], q[1], q[2], q[3], q[4]; barrier q[0], q[1];",
+	"qreg q[1]; rx(-pi/4) q[0]; // comment\n",
+	"creg c[2]; qreg q[2]; swap q[0], q[1];",
+	"qreg q[2]; cx q[0], q[0];",
+	"qreg q[2]; cp(0.5) q[0], q[1];",
+	"OPENQASM 2.0; qreg r[4]; cx r[3], r[0]; measure r[3] -> c[3];",
+	"qreg q[9999999999999999999];",
+	"qreg q[2]; rz() q[0];",
+	"qreg q[2]; rz(pi/0) q[0];",
+	"qreg q[2]; h q[-1];",
+	"qreg q[2]; h q[99];",
+	"x q[0]; qreg q[1];",
+	"qreg q[1]; qreg p[1];",
+	"qreg q[2]; mcx q[0];",
+	"qreg q[2]; barrier ;",
+	"qreg q[2]; measure q[0];",
+	"qreg q[2]; h (q[0]);",
+	"qreg q[2]; u1(1e309) q[0];",
 }

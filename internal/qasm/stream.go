@@ -2,10 +2,7 @@ package qasm
 
 import (
 	"bufio"
-	"errors"
-	"fmt"
 	"io"
-	"strings"
 
 	"trios/internal/circuit"
 )
@@ -19,27 +16,20 @@ const MaxLineBytes = 1 << 16
 
 // Reader is a pull-based streaming QASM parser: it reads the same dialect
 // as Parse from an io.Reader one gate at a time, holding only the current
-// line in memory. Semantics match Parse exactly on inputs that fit in
-// memory — same gates in the same order, same register-growth behavior,
-// and an error whenever Parse would error — so windowed compilation can
-// trust it as a drop-in front end.
+// line in memory. It runs Parse's statement scanner, so on inputs that fit
+// in memory it matches Parse exactly — same gates in the same order, same
+// register-growth behavior, and the same error whenever Parse errors — and
+// windowed compilation can trust it as a drop-in front end.
 type Reader struct {
-	scan    *bufio.Scanner
-	c       *circuit.Circuit
-	regName string
-	hasCreg bool
-	lineNo  int
-	pending []circuit.Gate
-	next    int // index of the next pending gate to hand out
-	err     error
+	p    *parser
+	next int // index in p.c.Gates of the next gate to hand out
+	err  error
 }
 
 // NewReader wraps r in a streaming QASM reader. No input is consumed until
 // the first NextGate call.
 func NewReader(r io.Reader) *Reader {
-	scan := bufio.NewScanner(r)
-	scan.Buffer(make([]byte, 4096), MaxLineBytes)
-	return &Reader{scan: scan}
+	return &Reader{p: newParser(r, MaxLineBytes)}
 }
 
 // NextGate returns the next gate in the stream. It returns io.EOF after the
@@ -51,81 +41,47 @@ func (r *Reader) NextGate() (circuit.Gate, error) {
 	if r.err != nil {
 		return circuit.Gate{}, r.err
 	}
-	for r.next >= len(r.pending) {
-		if !r.scan.Scan() {
-			if err := r.scan.Err(); err != nil {
-				if errors.Is(err, bufio.ErrTooLong) {
-					err = fmt.Errorf("qasm: line %d exceeds %d bytes", r.lineNo+1, MaxLineBytes)
-				}
-				r.err = err
-			} else if r.c == nil {
-				r.err = fmt.Errorf("qasm: no qreg declaration found")
-			} else {
-				r.err = io.EOF
-			}
-			return circuit.Gate{}, r.err
+	// The parser appends each line's gates to its circuit, which keeps
+	// the register state (name, size, growth) across lines; the gates are
+	// handed out and dropped line by line, so memory stays bounded by the
+	// longest line.
+	for r.p.c == nil || r.next >= len(r.p.c.Gates) {
+		if r.p.c != nil {
+			r.p.c.Gates = r.p.c.Gates[:0]
+			r.next = 0
 		}
-		r.lineNo++
-		if err := r.parseLine(r.scan.Text()); err != nil {
+		more, err := r.p.line()
+		switch {
+		case err != nil:
 			r.err = err
-			return circuit.Gate{}, r.err
-		}
-	}
-	g := r.pending[r.next]
-	r.next++
-	if r.next >= len(r.pending) {
-		r.pending = r.pending[:0]
-		r.next = 0
-	}
-	return g, nil
-}
-
-// parseLine feeds one source line through the shared statement parser and
-// queues any gates it produced. The scratch circuit keeps its register
-// state (name, size, growth) across lines but is drained of gates after
-// each line, so memory stays bounded by the longest line.
-func (r *Reader) parseLine(raw string) error {
-	line := raw
-	if i := strings.Index(line, "//"); i >= 0 {
-		line = line[:i]
-	}
-	line = strings.TrimSpace(line)
-	if line == "" {
-		return nil
-	}
-	for _, stmt := range strings.Split(line, ";") {
-		stmt = strings.TrimSpace(stmt)
-		if stmt == "" {
+		case more:
 			continue
+		case r.p.c == nil:
+			r.err = errNoQreg
+		default:
+			r.err = io.EOF
 		}
-		if strings.HasPrefix(stmt, "creg") {
-			r.hasCreg = true
-		}
-		if err := parseStmt(stmt, &r.c, &r.regName); err != nil {
-			return fmt.Errorf("qasm: line %d: %w", r.lineNo, err)
-		}
+		return circuit.Gate{}, r.err
 	}
-	if r.c != nil && len(r.c.Gates) > 0 {
-		r.pending = append(r.pending, r.c.Gates...)
-		r.c.Gates = r.c.Gates[:0]
-	}
-	return nil
+	g := r.p.c.Gates[r.next]
+	r.next++
+	return g, nil
 }
 
 // NumQubits reports the current register size: the declared qreg size,
 // grown if a parsed gate referenced a higher index (the same growth
 // semantics Parse has). Zero until the qreg declaration has been read.
 func (r *Reader) NumQubits() int {
-	if r.c == nil {
+	if r.p.c == nil {
 		return 0
 	}
-	return r.c.NumQubits
+	return r.p.c.NumQubits
 }
 
 // HasCreg reports whether a creg declaration has been read. In canonical
 // output a creg is present iff the program measures, so the emitter side of
 // a streaming pipeline uses this to reproduce Emit's header byte-for-byte.
-func (r *Reader) HasCreg() bool { return r.hasCreg }
+func (r *Reader) HasCreg() bool { return r.p.hasCreg }
 
 // emitBufferSize is the emitter's write buffer. Each write may cost the
 // destination a system call or, on the stream endpoint, a flushed HTTP

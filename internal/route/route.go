@@ -122,9 +122,9 @@ func (s *state) swapAlong(path []int, stop int) {
 }
 
 // emitMapped appends gate g with its virtual qubits replaced by their
-// current physical positions.
+// current physical positions, its operands carved from the output's slab.
 func (s *state) emitMapped(g circuit.Gate) {
-	s.out.Append(g.Remap(s.l.Phys))
+	s.out.AppendMapped(g, s.l.Phys)
 }
 
 // result finalizes the routing state.

@@ -108,10 +108,11 @@ func (s *state) routeTrioRole(v0, v1, v2, targetV int) error {
 			}
 		}
 		vd := vs[bestIdx]
-		var others []int
-		for i := 0; i < 3; i++ {
+		var others [2]int
+		for i, k := 0, 0; i < 3; i++ {
 			if i != bestIdx {
-				others = append(others, vs[i])
+				others[k] = vs[i]
+				k++
 			}
 		}
 		// Route the closer of the two movers first.
