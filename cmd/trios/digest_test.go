@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"trios/internal/benchmarks"
+	"trios/internal/device"
 )
 
 // compileDigestsFixture holds one line per sweep cell: the cell's five
@@ -18,12 +19,17 @@ import (
 // the same format.
 const compileDigestsFixture = "testdata/compile_digests.txt"
 
+// routerDigestsFixture is compileDigestsFixture's counterpart for the
+// search routers: one line per cell of TestRouterDigestsPinned (benchmark,
+// topology, pipeline, router, cost, seed) and the digest of its output.
+const routerDigestsFixture = "testdata/router_digests.txt"
+
 // TestCompileDigestsPinned pins the bytes `trios` emits across the paper's
 // sweep: every -list benchmark on johannesburg, grid, line and clusters,
 // under both pipelines, every -toffoli mode and -optimize off and on (528
 // programs). Any change to compilation or to QASM rendering shows here.
 func TestCompileDigestsPinned(t *testing.T) {
-	want := readCompileDigests(t)
+	want := readCompileDigests(t, compileDigestsFixture)
 	seen := 0
 	for _, b := range benchmarks.All() {
 		for _, topology := range []string{"johannesburg", "grid", "line", "clusters"} {
@@ -55,9 +61,55 @@ func TestCompileDigestsPinned(t *testing.T) {
 	}
 }
 
-func readCompileDigests(t *testing.T) map[string]string {
+// TestRouterDigestsPinned pins the bytes `trios` emits under the two search
+// routers, which TestCompileDigestsPinned (direct router only) does not
+// reach: every -list benchmark on johannesburg, grid, line and clusters,
+// under both pipelines, -router stochastic and lookahead, hop costs and the
+// topology's registry calibration, and seeds 1 and 2 (704 programs).
+func TestRouterDigestsPinned(t *testing.T) {
+	want := readCompileDigests(t, routerDigestsFixture)
+	seen := 0
+	for _, b := range benchmarks.All() {
+		for _, topology := range []string{"johannesburg", "grid", "line", "clusters"} {
+			cal, err := device.ForDevice(topology)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pipeline := range []string{"baseline", "trios"} {
+				for _, router := range []string{"stochastic", "lookahead"} {
+					for _, cost := range []string{"hops", cal.Name} {
+						for _, seed := range []string{"1", "2"} {
+							cell := strings.Join([]string{b.Name, topology, pipeline, router, cost, seed}, " ")
+							args := []string{"-benchmark", b.Name, "-topology", topology, "-pipeline", pipeline, "-router", router, "-seed", seed}
+							if cost != "hops" {
+								args = append(args, "-calibration", cost)
+							}
+							var out bytes.Buffer
+							if err := run(args, &out); err != nil {
+								t.Fatalf("%s: %v", cell, err)
+							}
+							sum := sha256.Sum256(out.Bytes())
+							got := hex.EncodeToString(sum[:])
+							seen++
+							if want[cell] != got {
+								t.Errorf("%s: digest changed; now: %s %s", cell, cell, got)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("swept %d cells, fixture pins %d", seen, len(want))
+	}
+}
+
+// readCompileDigests reads a digest fixture: one "<cell> <digest>" line per
+// cell, with blank and '#' lines skipped.
+func readCompileDigests(t *testing.T, path string) map[string]string {
 	t.Helper()
-	f, err := os.Open(compileDigestsFixture)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +123,7 @@ func readCompileDigests(t *testing.T) map[string]string {
 		}
 		i := strings.LastIndexByte(line, ' ')
 		if i < 0 {
-			t.Fatalf("%s: malformed line %q", compileDigestsFixture, line)
+			t.Fatalf("%s: malformed line %q", path, line)
 		}
 		want[line[:i]] = line[i+1:]
 	}
@@ -79,7 +131,7 @@ func readCompileDigests(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	if len(want) == 0 {
-		t.Fatalf("%s pins no cells", compileDigestsFixture)
+		t.Fatalf("%s pins no cells", path)
 	}
 	return want
 }

@@ -37,49 +37,6 @@ func TestOptimizeOptionPreservesSemantics(t *testing.T) {
 	}
 }
 
-// TestSaturateOptimizerNeverWorseThanLegacy compiles redundancy-heavy random
-// circuits under both optimizer arms and asserts the saturating engine's
-// compiled two-qubit count never exceeds the legacy loop's — the engine's
-// rule table strictly extends what the legacy optimizer could cancel.
-func TestSaturateOptimizerNeverWorseThanLegacy(t *testing.T) {
-	g := topo.Grid(2, 3)
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 6; trial++ {
-		c := circuit.New(5)
-		for i := 0; i < 15; i++ {
-			p := rng.Perm(5)
-			c.CX(p[0], p[1])
-			if rng.Float64() < 0.5 {
-				c.CX(p[0], p[1])
-			}
-			c.H(p[2])
-			c.CX(p[3], p[2])
-			if rng.Float64() < 0.5 {
-				c.H(p[2]) // h·cx·h conjugation fodder
-			}
-			c.CCX(p[0], p[1], p[2])
-			if rng.Float64() < 0.5 {
-				c.CCX(p[0], p[1], p[2])
-			}
-		}
-		for _, pipe := range []Pipeline{Conventional, TriosPipeline} {
-			sat, err := Compile(c, g, Options{Pipeline: pipe, Optimize: true, Seed: int64(trial)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			leg, err := Compile(c, g, Options{Pipeline: pipe, Optimize: true, Optimizer: OptimizerLegacy, Seed: int64(trial)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			verifyCompiled(t, sat)
-			if sat.TwoQubitGates() > leg.TwoQubitGates() {
-				t.Errorf("trial %d/%v: saturate compiled to %d two-qubit gates, legacy to %d",
-					trial, pipe, sat.TwoQubitGates(), leg.TwoQubitGates())
-			}
-		}
-	}
-}
-
 func TestOptimizeNeverIncreasesGateCount(t *testing.T) {
 	g := topo.Johannesburg()
 	c := circuit.New(6)
