@@ -63,7 +63,6 @@ func run(args []string, out io.Writer) error {
 		seed        = fs.Int64("seed", 1, "seed for stochastic routing and random placement")
 		stats       = fs.Bool("stats", false, "print compile statistics instead of QASM")
 		optimize    = fs.Bool("optimize", false, "run gate cancellation before and after compilation")
-		optimizer   = fs.String("optimizer", "saturate", "optimization engine under -optimize: saturate (rewrite-rule engine) or legacy (pairwise cancel loop)")
 		calibration = fs.String("calibration", "", "device calibration: a registry name (e.g. johannesburg-0819) or a JSON file; makes compilation noise-aware and reports estimated success + makespan")
 		cost        = fs.String("cost", "", "cost model under -calibration: noise (default) or uniform (compile noise-blind, bit-identical to no calibration, but still report fidelity)")
 		draw        = fs.Bool("draw", false, "print an ASCII diagram of the compiled circuit")
@@ -111,9 +110,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if opts.Placement, err = compiler.ParsePlacement(*placement); err != nil {
-		return err
-	}
-	if opts.Optimizer, err = compiler.ParseOptimizer(*optimizer); err != nil {
 		return err
 	}
 	if opts.Calibration, opts.CostModel, err = loadCalibration(*calibration, *cost); err != nil {

@@ -227,22 +227,11 @@ func compileJob(ctx context.Context, cache *frontCache, j Job) (*Result, error) 
 // mode, and the Optimize flag. Identity is the Job's content FrontKey when
 // it has one, else the input pointer.
 type frontKey struct {
-	input     *circuit.Circuit // nil when content keys the entry
-	content   string
-	pipeline  Pipeline
-	mode      decompose.ToffoliMode
-	optimize  bool
-	optimizer OptimizerKind
-}
-
-// frontOptimizer normalizes Options.Optimizer for the front key: with
-// optimization off the engine choice cannot shape the front, so all values
-// share one entry.
-func frontOptimizer(opts Options) OptimizerKind {
-	if !opts.Optimize {
-		return OptimizerSaturate
-	}
-	return opts.Optimizer
+	input    *circuit.Circuit // nil when content keys the entry
+	content  string
+	pipeline Pipeline
+	mode     decompose.ToffoliMode
+	optimize bool
 }
 
 // frontMode normalizes Options.Mode to the value that actually shapes the
@@ -300,7 +289,7 @@ func newFrontCache() *frontCache {
 // whether this call reused an entry another job computed. A non-empty
 // contentKey replaces pointer identity (see Job.FrontKey).
 func (fc *frontCache) get(input *circuit.Circuit, contentKey string, opts Options) (c *circuit.Circuit, metrics []PassMetric, cached bool, err error) {
-	key := frontKey{input: input, pipeline: opts.Pipeline, mode: frontMode(opts), optimize: opts.Optimize, optimizer: frontOptimizer(opts)}
+	key := frontKey{input: input, pipeline: opts.Pipeline, mode: frontMode(opts), optimize: opts.Optimize}
 	if contentKey != "" {
 		key.input, key.content = nil, contentKey
 	}

@@ -92,33 +92,6 @@ func (r RouterKind) String() string {
 	return "direct"
 }
 
-// OptimizerKind selects which gate-optimization engine the Optimize flag
-// runs. It only matters when Options.Optimize is true.
-type OptimizerKind int
-
-const (
-	// OptimizerSaturate is the default: the worklist rewrite engine
-	// (internal/rewrite) saturates a declarative rule table to a fixpoint —
-	// inverse cancellation across commuting windows, axis-family rotation
-	// merging with 2π normalization, CP/CZ canonicalization, SWAP and
-	// Toffoli absorptions, and Hadamard conjugations — in amortized
-	// O(gates·rules). It runs on the input, again on the routed circuit
-	// (adjacency-gated so rewrites never un-route), and on the lowered
-	// output interleaved with 1q consolidation.
-	OptimizerSaturate OptimizerKind = iota
-	// OptimizerLegacy is the pre-rewrite-engine golden arm: the quadratic
-	// rescan-and-recurse Cancel/CancelCommuting loop plus output
-	// consolidation, preserved bit-for-bit for regression comparison.
-	OptimizerLegacy
-)
-
-func (o OptimizerKind) String() string {
-	if o == OptimizerLegacy {
-		return "legacy"
-	}
-	return "saturate"
-}
-
 // Options configures a compilation.
 type Options struct {
 	Pipeline Pipeline
@@ -136,14 +109,14 @@ type Options struct {
 	InitialLayout []int
 	// Seed drives stochastic routing tie-breaks and random placement.
 	Seed int64
-	// Optimize enables commutation-free gate cancellation and rotation
-	// merging (§2.4), applied to the input and again to the compiled
-	// circuit where routing may have created adjacent inverse pairs.
+	// Optimize runs the worklist rewrite engine (internal/rewrite), which
+	// saturates a declarative rule table to a fixpoint: inverse
+	// cancellation across commuting windows, rotation merging, CP/CZ
+	// canonicalization, SWAP and Toffoli absorptions, and Hadamard
+	// conjugations (§2.4). It runs on the input, again on the routed
+	// circuit (adjacency-gated so rewrites never un-route), and on the
+	// lowered output interleaved with 1q consolidation.
 	Optimize bool
-	// Optimizer picks the optimization engine Optimize runs: the saturating
-	// rewrite engine (default) or the legacy cancel loop kept as a golden
-	// arm. Ignored when Optimize is false.
-	Optimizer OptimizerKind
 	// Calibration, when non-nil, is the device characterization driving the
 	// compile: unless CostModel overrides it, layout and routing weigh edges
 	// by the calibration's -log CNOT success rates, and the pipeline ends

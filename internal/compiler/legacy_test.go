@@ -12,7 +12,6 @@ import (
 	"trios/internal/circuit"
 	"trios/internal/decompose"
 	"trios/internal/layout"
-	"trios/internal/optimize"
 	"trios/internal/route"
 	"trios/internal/topo"
 )
@@ -25,19 +24,15 @@ func legacyCompile(input *circuit.Circuit, g *topo.Graph, opts Options) (*Result
 	if err := input.Validate(); err != nil {
 		return nil, err
 	}
-	source := input
-	if opts.Optimize {
-		source = optimize.CancelCommuting(input)
-	}
 	var res *Result
 	var err error
 	switch opts.Pipeline {
 	case Conventional:
-		res, err = legacyCompileConventional(source, g, opts)
+		res, err = legacyCompileConventional(input, g, opts)
 	case TriosPipeline:
-		res, err = legacyCompileTrios(source, g, opts)
+		res, err = legacyCompileTrios(input, g, opts)
 	case GroupsPipeline:
-		res, err = legacyCompileGroups(source, g, opts)
+		res, err = legacyCompileGroups(input, g, opts)
 	default:
 		return nil, fmt.Errorf("compiler: unknown pipeline %d", int(opts.Pipeline))
 	}
@@ -45,14 +40,6 @@ func legacyCompile(input *circuit.Circuit, g *topo.Graph, opts Options) (*Result
 		return nil, err
 	}
 	res.Input = input
-	if opts.Optimize {
-		cleaned := optimize.CancelCommuting(res.Physical)
-		consolidated, err := optimize.Consolidate1Q(cleaned)
-		if err != nil {
-			return nil, err
-		}
-		res.Physical = consolidated
-	}
 	return res, nil
 }
 

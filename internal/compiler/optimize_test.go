@@ -26,13 +26,11 @@ func TestOptimizeOptionPreservesSemantics(t *testing.T) {
 			}
 		}
 		for _, pipe := range []Pipeline{Conventional, TriosPipeline} {
-			for _, eng := range []OptimizerKind{OptimizerSaturate, OptimizerLegacy} {
-				res, err := Compile(c, g, Options{Pipeline: pipe, Optimize: true, Optimizer: eng, Seed: int64(trial)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				verifyCompiled(t, res)
+			res, err := Compile(c, g, Options{Pipeline: pipe, Optimize: true, Seed: int64(trial)})
+			if err != nil {
+				t.Fatal(err)
 			}
+			verifyCompiled(t, res)
 		}
 	}
 }

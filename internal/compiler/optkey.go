@@ -94,18 +94,6 @@ func ResolveCalibration(name, cost string) (*device.Calibration, device.CostMode
 	return cal, cm, nil
 }
 
-// ParseOptimizer resolves an optimization engine: saturate (the rewrite
-// engine, also the default for "") or legacy (the golden-arm cancel loop).
-func ParseOptimizer(s string) (OptimizerKind, error) {
-	switch s {
-	case "", "saturate":
-		return OptimizerSaturate, nil
-	case "legacy":
-		return OptimizerLegacy, nil
-	}
-	return 0, fmt.Errorf("compiler: unknown optimizer %q (want saturate or legacy)", s)
-}
-
 // ParseToffoli resolves a Toffoli decomposition mode: auto, 6, or 8.
 func ParseToffoli(s string) (decompose.ToffoliMode, error) {
 	switch s {
@@ -159,8 +147,8 @@ func (o Options) CacheKey() (string, error) {
 		return "", fmt.Errorf("compiler: options have no cache key: %w", err)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "pipeline=%s;router=%s;toffoli=%s;placement=%s;seed=%d;optimize=%t;optimizer=%s;layout=",
-		o.Pipeline, o.Router, o.Mode, o.Placement, o.Seed, o.Optimize, o.Optimizer)
+	fmt.Fprintf(&b, "pipeline=%s;router=%s;toffoli=%s;placement=%s;seed=%d;optimize=%t;layout=",
+		o.Pipeline, o.Router, o.Mode, o.Placement, o.Seed, o.Optimize)
 	if o.InitialLayout == nil {
 		b.WriteString("none")
 	} else {

@@ -424,29 +424,6 @@ func triosFixup(ctx *PassContext) (*route.Session, error) {
 
 // ---- Optimize passes ----
 
-// OptimizeInputPass cancels commuting inverse pairs and merges rotations on
-// the source circuit before decomposition.
-func OptimizeInputPass() Pass {
-	return NewPass("optimize:input", func(ctx *PassContext, c *circuit.Circuit) error {
-		ctx.Circuit = optimize.CancelCommuting(c)
-		return nil
-	})
-}
-
-// OptimizeOutputPass re-runs cancellation on the compiled circuit (routing
-// can create adjacent inverse pairs) and consolidates 1-qubit runs.
-func OptimizeOutputPass() Pass {
-	return NewPass("optimize:output", func(ctx *PassContext, c *circuit.Circuit) error {
-		cleaned := optimize.CancelCommuting(c)
-		consolidated, err := optimize.Consolidate1Q(cleaned)
-		if err != nil {
-			return err
-		}
-		ctx.Circuit = consolidated
-		return nil
-	})
-}
-
 // SaturateInputPass runs the worklist rewrite engine on the source circuit
 // before decomposition: cancellations, rotation merges, and structural
 // absorptions all apply at the logical level, where no routing constraint
@@ -567,14 +544,8 @@ type passPlan struct {
 // planPasses builds the pass plan for opts.
 func planPasses(opts Options) (*passPlan, error) {
 	plan := &passPlan{place: PlacePass()}
-	// legacy selects the pre-rewrite-engine optimizer passes.
-	legacy := opts.Optimizer == OptimizerLegacy
 	if opts.Optimize {
-		if legacy {
-			plan.front = append(plan.front, OptimizeInputPass())
-		} else {
-			plan.front = append(plan.front, SaturateInputPass())
-		}
+		plan.front = append(plan.front, SaturateInputPass())
 	}
 	switch opts.Pipeline {
 	case Conventional:
@@ -607,18 +578,12 @@ func planPasses(opts Options) (*passPlan, error) {
 	default:
 		return nil, fmt.Errorf("compiler: unknown pipeline %d", int(opts.Pipeline))
 	}
-	// Under the saturating optimizer a routed-circuit rewrite pass runs just
-	// before lowering, where SWAPs and intact Toffolis are still visible.
-	if opts.Optimize && !legacy {
-		plan.after = append(plan.after, SaturateRoutedPass())
-	}
-	plan.after = append(plan.after, LowerPass())
+	// The optimizer rewrites the routed circuit just before lowering, where
+	// SWAPs and intact Toffolis are still visible, and the lowered output.
 	if opts.Optimize {
-		if legacy {
-			plan.after = append(plan.after, OptimizeOutputPass())
-		} else {
-			plan.after = append(plan.after, SaturateOutputPass())
-		}
+		plan.after = append(plan.after, SaturateRoutedPass(), LowerPass(), SaturateOutputPass())
+	} else {
+		plan.after = append(plan.after, LowerPass())
 	}
 	if opts.Calibration != nil {
 		plan.close = append(plan.close, FidelityPass(opts.Calibration))

@@ -60,7 +60,7 @@ func TestPassManagerMatchesLegacyOnRegistry(t *testing.T) {
 }
 
 // TestPassManagerMatchesLegacyConfigs sweeps the design-choice grid —
-// routers, placements, Toffoli modes, optimization, and the Groups pipeline
+// routers, placements, Toffoli modes, and the Groups pipeline
 // — on one Toffoli-heavy benchmark.
 func TestPassManagerMatchesLegacyConfigs(t *testing.T) {
 	b, err := benchmarks.ByName("grovers-9")
@@ -76,17 +76,10 @@ func TestPassManagerMatchesLegacyConfigs(t *testing.T) {
 		{Pipeline: Conventional, Router: RouteDirect, Placement: PlaceGreedy, Seed: 1},
 		{Pipeline: Conventional, Router: RouteLookahead, Placement: PlaceIdentity, Seed: 2},
 		{Pipeline: Conventional, Mode: decompose.Eight, Router: RouteStochastic, Placement: PlaceRandom, Seed: 3},
-		// Optimize cases pin OptimizerLegacy: legacyCompile is the
-		// pre-rewrite-engine loop, and the byte-identity assertion only holds
-		// against the arm that reproduces it. The saturating default is
-		// covered by equivalence (not identity) tests in optimize_test.go.
-		{Pipeline: Conventional, Router: RouteDirect, Placement: PlaceGreedy, Optimize: true, Optimizer: OptimizerLegacy, Seed: 4},
 		{Pipeline: TriosPipeline, Router: RouteDirect, Placement: PlaceGreedy, Seed: 5},
 		{Pipeline: TriosPipeline, Mode: decompose.Six, Router: RouteStochastic, Placement: PlaceIdentity, Seed: 6},
 		{Pipeline: TriosPipeline, Mode: decompose.Eight, Router: RouteLookahead, Placement: PlaceRandom, Seed: 7},
-		{Pipeline: TriosPipeline, Router: RouteDirect, Placement: PlaceGreedy, Optimize: true, Optimizer: OptimizerLegacy, Seed: 8},
 		{Pipeline: GroupsPipeline, Placement: PlaceGreedy, Seed: 9},
-		{Pipeline: GroupsPipeline, Placement: PlaceIdentity, Optimize: true, Optimizer: OptimizerLegacy, Seed: 10},
 	}
 	for i, opts := range cases {
 		got, err := Compile(c, g, opts)

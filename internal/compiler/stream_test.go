@@ -347,25 +347,17 @@ func TestStreamRejectsRegisterGrowth(t *testing.T) {
 var optimizedStreamDigests = map[string]string{
 	"baseline/auto/saturate/w64":   "fdbe689806b349b7",
 	"baseline/auto/saturate/w1024": "956448e538abb6ad",
-	"baseline/auto/legacy/w64":     "ef3be5ca1ff23f19",
-	"baseline/auto/legacy/w1024":   "7e895ebb3f5dd0a6",
 	"trios/auto/saturate/w64":      "af15009172f70e66",
 	"trios/auto/saturate/w1024":    "cf9ce0fb75c074c8",
-	"trios/auto/legacy/w64":        "7b64bc7a9007fcb9",
-	"trios/auto/legacy/w1024":      "7afec03bc3aea25d",
 	"trios/6-cnot/saturate/w64":    "caac8629954c46b8",
 	"trios/6-cnot/saturate/w1024":  "c471381491c79dcc",
-	"trios/6-cnot/legacy/w64":      "e2d46d363f00938b",
-	"trios/6-cnot/legacy/w1024":    "9e4a86a53a0df9b3",
 	"trios/8-cnot/saturate/w64":    "11fb4910903495a3",
 	"trios/8-cnot/saturate/w1024":  "ef818c0f52041186",
-	"trios/8-cnot/legacy/w64":      "a7ff0c60525f7607",
-	"trios/8-cnot/legacy/w1024":    "aa2ee492113111ea",
 }
 
 // TestStreamOptimizedDigestsPinned holds the optimize-on stream to its
-// recorded output across both pipelines, every Trios Toffoli mode, both
-// optimizers, two window sizes and both drivers. The device is the
+// recorded output across both pipelines, every Trios Toffoli mode, two
+// window sizes and both drivers. The device is the
 // clusters topology, whose triangles make the auto Toffoli mode differ
 // from both forced modes.
 func TestStreamOptimizedDigestsPinned(t *testing.T) {
@@ -385,27 +377,24 @@ func TestStreamOptimizedDigestsPinned(t *testing.T) {
 		{TriosPipeline, decompose.Eight},
 	}
 	for _, sh := range shapes {
-		for _, optimizer := range []OptimizerKind{OptimizerSaturate, OptimizerLegacy} {
-			for _, window := range []int{64, 1024} {
-				key := fmt.Sprintf("%v/%v/%v/w%d", sh.pipeline, sh.mode, optimizer, window)
-				for _, parallel := range []bool{false, true} {
-					opts := StreamOptions{Window: window, Parallel: parallel}
-					opts.Pipeline = sh.pipeline
-					opts.Mode = sh.mode
-					opts.Optimize = true
-					opts.Optimizer = optimizer
-					opts.Seed = 4
-					var out bytes.Buffer
-					res, err := StreamCompile(context.Background(), strings.NewReader(src), &out, g, opts)
-					if err != nil {
-						t.Fatalf("%s parallel=%v: %v", key, parallel, err)
-					}
-					fmt.Fprintf(&out, "swaps=%d initial=%v final=%v", res.SwapsAdded, res.Initial, res.Final)
-					sum := sha256.Sum256(out.Bytes())
-					got := hex.EncodeToString(sum[:8])
-					if want := optimizedStreamDigests[key]; got != want {
-						t.Errorf("%s parallel=%v: digest %s, want %s", key, parallel, got, want)
-					}
+		for _, window := range []int{64, 1024} {
+			key := fmt.Sprintf("%v/%v/saturate/w%d", sh.pipeline, sh.mode, window)
+			for _, parallel := range []bool{false, true} {
+				opts := StreamOptions{Window: window, Parallel: parallel}
+				opts.Pipeline = sh.pipeline
+				opts.Mode = sh.mode
+				opts.Optimize = true
+				opts.Seed = 4
+				var out bytes.Buffer
+				res, err := StreamCompile(context.Background(), strings.NewReader(src), &out, g, opts)
+				if err != nil {
+					t.Fatalf("%s parallel=%v: %v", key, parallel, err)
+				}
+				fmt.Fprintf(&out, "swaps=%d initial=%v final=%v", res.SwapsAdded, res.Initial, res.Final)
+				sum := sha256.Sum256(out.Bytes())
+				got := hex.EncodeToString(sum[:8])
+				if want := optimizedStreamDigests[key]; got != want {
+					t.Errorf("%s parallel=%v: digest %s, want %s", key, parallel, got, want)
 				}
 			}
 		}

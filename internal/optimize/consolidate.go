@@ -1,3 +1,8 @@
+// Package optimize holds the single-qubit gate consolidation the compiler's
+// output optimizer interleaves with the rewrite engine (internal/rewrite):
+// saturation is local, so a mixed-axis 1q run is a fixpoint for its rule
+// table, while Consolidate1Q resynthesizes such runs into at most one u-gate
+// and can expose new inverse pairs across them.
 package optimize
 
 import (

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"trios/internal/circuit"
-	"trios/internal/optimize"
 )
 
 // onion builds a palindrome cancellation chain: the first half is random CX
@@ -87,22 +86,6 @@ func tombChain(n int) *circuit.Circuit {
 		c.Append(circuit.NewGate(circuit.X, []int{0}))
 	}
 	return c
-}
-
-func BenchmarkLegacyCancelTombChain20k(b *testing.B) {
-	c := tombChain(20_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		optimize.Cancel(c)
-	}
-}
-
-func BenchmarkLegacyCancelTombChain40k(b *testing.B) {
-	c := tombChain(40_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		optimize.Cancel(c)
-	}
 }
 
 func BenchmarkSaturateTombChain20k(b *testing.B) {

@@ -1,19 +1,18 @@
 // Package rewrite implements a rule-driven gate-rewrite engine that
 // saturates a circuit to a fixpoint under a declarative rule table, in the
 // style of equality-saturation optimizers (Diospyros, ASPLOS'21): instead of
-// the legacy optimize.Cancel loop — which rescans the whole circuit and
-// recurses whenever any pair fired, going quadratic on long cancellation
-// chains — the engine keeps every gate in a doubly-linked wire list per
-// qubit and drives a worklist: when a rewrite removes or replaces a gate,
-// only the gates adjacent to the change are re-enqueued. Each rule either
+// rescanning the whole circuit whenever any pair fired, which goes quadratic
+// on long cancellation chains, the engine keeps every gate in a
+// doubly-linked wire list per qubit and drives a worklist: when a rewrite
+// removes or replaces a gate, only the gates adjacent to the change are
+// re-enqueued. Each rule either
 // deletes nodes or replaces a gate in place with a gate on a subset of its
 // qubits, so the position order of surviving gates never changes and the
 // result is deterministic for a fixed rule table and pop order.
 //
 // Every rule preserves the circuit's unitary exactly or up to global phase
-// (Rule.Exact distinguishes the two); divergences from the legacy optimizer
-// are therefore sim-verifiable with the engine's equivalence checker, which
-// compares up to global phase. A rewrite budget bounds total work at
+// (Rule.Exact distinguishes the two), so every rewrite is sim-verifiable with
+// the engine's equivalence checker, which compares up to global phase. A rewrite budget bounds total work at
 // O(gates·rules) amortized: each application strictly decreases gate count
 // or merges two gates into one, and the budget guard stops pathological rule
 // tables from cycling.
@@ -447,10 +446,10 @@ func axisAt(g circuit.Gate, q int) axis {
 	return axisNone
 }
 
-// commutes reports whether gates a and b commute as operators, using the
-// conservative structural rules the legacy optimizer established: disjoint
-// supports always commute; Z-diagonal gates commute with each other; on
-// every shared qubit the two gates must act along the same Pauli axis. SWAP
+// commutes reports whether gates a and b commute as operators, using
+// conservative structural rules: disjoint supports always commute;
+// Z-diagonal gates commute with each other; on every shared qubit the two
+// gates must act along the same Pauli axis. SWAP
 // additionally commutes with same-footprint symmetric pair gates (CZ, CP,
 // SWAP), which lets cancellation windows cross routing swaps.
 func commutes(a, b circuit.Gate) bool {
@@ -517,8 +516,7 @@ func sameFootprint(a, b circuit.Gate) bool {
 }
 
 // normAngle wraps a rotation angle into (-π, π], snapping values within
-// 1e-12 of zero (after wrapping, so 2πk collapses — the legacy
-// isNullRotation gap this engine closes).
+// 1e-12 of zero (after wrapping, so 2πk collapses too).
 func normAngle(theta float64) float64 {
 	r := math.Remainder(theta, 2*math.Pi)
 	if math.Abs(r) < 1e-12 {

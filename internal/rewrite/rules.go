@@ -135,8 +135,8 @@ func symmetricName(n circuit.Name) bool {
 	return false
 }
 
-// cancelsPair reports whether applying a then b is the identity (up to the
-// structural rules the legacy optimizer used, extended to MCX).
+// cancelsPair reports whether applying a then b is the identity, by
+// structural rules that cover every named gate including MCX.
 func cancelsPair(a, b circuit.Gate) bool {
 	if a.IsPseudo() || b.IsPseudo() {
 		return false

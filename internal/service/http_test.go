@@ -92,6 +92,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"no input", `{}`},
 		{"bad topology", `{"benchmark": "bv-20", "topology": "moebius"}`},
 		{"bad qasm", `{"qasm": "this is not qasm"}`},
+		{"optimizer field", `{"benchmark":"bv-20","optimizer":"legacy"}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(tc.body))

@@ -38,10 +38,6 @@ type CompileRequest struct {
 	// the CLI's default of 1.
 	Seed     *int64 `json:"seed,omitempty"`
 	Optimize bool   `json:"optimize,omitempty"`
-	// Optimizer selects the optimization engine when Optimize is set:
-	// "saturate" (default — the worklist rewrite engine) or "legacy" (the
-	// pre-rewrite-engine cancel loop, kept as a golden arm).
-	Optimizer string `json:"optimizer,omitempty"`
 	// Calibration names a registry calibration (see GET /v1/calibrations).
 	// When set, the compile is calibration-parameterized: routing and
 	// placement weigh edges by the calibration's -log CNOT success rates
@@ -197,9 +193,6 @@ func resolveOptions(req CompileRequest) (compiler.Options, error) {
 		return opts, badRequest("%v", err)
 	}
 	if opts.Placement, err = compiler.ParsePlacement(orDefault(req.Placement, "greedy")); err != nil {
-		return opts, badRequest("%v", err)
-	}
-	if opts.Optimizer, err = compiler.ParseOptimizer(req.Optimizer); err != nil {
 		return opts, badRequest("%v", err)
 	}
 	opts.Seed = 1 // the trios CLI's default seed

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"trios/internal/compiler"
@@ -55,18 +57,33 @@ type streamStats struct {
 	CostModel         string  `json:"cost_model,omitempty"`
 }
 
+// streamParams is the stream endpoint's query vocabulary: the option fields
+// of POST /v1/compile that a stream accepts, plus window and parallel.
+var streamParams = []string{"topology", "pipeline", "toffoli", "router", "placement", "seed", "optimize", "calibration", "cost", "window", "parallel"}
+
 // resolveStreamQuery maps /v1/compile/stream query parameters onto
 // compiler.StreamOptions through the same resolveOptions vocabulary the JSON
 // endpoint uses, plus the two streaming knobs: window (gates per window) and
-// parallel (pipelined stage workers; default true).
+// parallel (pipelined stage workers; default true). Like the JSON endpoint's
+// unknown fields, a parameter outside streamParams is refused rather than
+// ignored.
 func (s *Service) resolveStreamQuery(q url.Values) (*JobSpec, compiler.StreamOptions, error) {
+	var unknown []string
+	for k := range q {
+		if !slices.Contains(streamParams, k) {
+			unknown = append(unknown, k)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		return nil, compiler.StreamOptions{}, badRequest("unknown query parameter %q (want %s)", unknown[0], strings.Join(streamParams, ", "))
+	}
 	req := CompileRequest{
 		Topology:    q.Get("topology"),
 		Pipeline:    q.Get("pipeline"),
 		Toffoli:     q.Get("toffoli"),
 		Router:      q.Get("router"),
 		Placement:   q.Get("placement"),
-		Optimizer:   q.Get("optimizer"),
 		Calibration: q.Get("calibration"),
 		Cost:        q.Get("cost"),
 	}

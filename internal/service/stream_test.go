@@ -114,6 +114,8 @@ func TestHTTPStreamBadRequests(t *testing.T) {
 		"?seed=banana",
 		"?optimize=banana",
 		"?parallel=banana",
+		"?optimizer=legacy",
+		"?bogus=1",
 	} {
 		resp, body := postStream(t, ts, q, strings.NewReader("OPENQASM 2.0;\nqreg q[2];\ncx q[0], q[1];\n"))
 		if resp.StatusCode != http.StatusBadRequest {

@@ -14,31 +14,6 @@ import (
 	"trios/internal/template"
 )
 
-// TestOptimizerWireField pins the optimizer enum on the wire: the two engines
-// key apart (so their artifacts never alias), the default is the saturating
-// engine, and an unknown value is a 400.
-func TestOptimizerWireField(t *testing.T) {
-	base := CompileRequest{Benchmark: "cnx_dirty-11", Topology: "grid", Pipeline: "trios", Optimize: true, Seed: seedp(3)}
-	def := mustResolve(t, base)
-
-	sat := base
-	sat.Optimizer = "saturate"
-	if got := mustResolve(t, sat); got.Key != def.Key {
-		t.Fatalf("explicit saturate keys differently from the default: %s vs %s", got.Key, def.Key)
-	}
-	leg := base
-	leg.Optimizer = "legacy"
-	if got := mustResolve(t, leg); got.Key == def.Key {
-		t.Fatal("legacy optimizer shares the saturate artifact key")
-	}
-
-	_, ts := newTestServer(t)
-	resp := postCompile(t, ts, CompileRequest{Benchmark: "bv-20", Optimizer: "aggressive"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown optimizer: status = %d, want 400", resp.StatusCode)
-	}
-}
-
 // TestHTTPTemplateServing drives a template-enabled daemon end to end: a
 // request whose input is a warmed template is served from the fragment
 // (template hit counted), carries the same compiled QASM as a plain compile,
