@@ -110,12 +110,12 @@ func TestGreedyPlacesInteractingQubitsClose(t *testing.T) {
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	d := g.AllPairsDistances()
-	if d[l.Phys(0)][l.Phys(1)] != 1 {
-		t.Errorf("heavily interacting pair placed %d apart", d[l.Phys(0)][l.Phys(1)])
+	d := g.DistTable()
+	if d.At(l.Phys(0), l.Phys(1)) != 1 {
+		t.Errorf("heavily interacting pair placed %d apart", d.At(l.Phys(0), l.Phys(1)))
 	}
-	if d[l.Phys(1)][l.Phys(2)] > 2 {
-		t.Errorf("connected pair placed %d apart", d[l.Phys(1)][l.Phys(2)])
+	if d.At(l.Phys(1), l.Phys(2)) > 2 {
+		t.Errorf("connected pair placed %d apart", d.At(l.Phys(1), l.Phys(2)))
 	}
 }
 
@@ -127,8 +127,8 @@ func TestGreedyHandlesToffoliTrio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := g.AllPairsDistances()
-	total := d[l.Phys(0)][l.Phys(1)] + d[l.Phys(1)][l.Phys(2)] + d[l.Phys(0)][l.Phys(2)]
+	d := g.DistTable()
+	total := d.At(l.Phys(0), l.Phys(1)) + d.At(l.Phys(1), l.Phys(2)) + d.At(l.Phys(0), l.Phys(2))
 	if total > 4 {
 		t.Errorf("trio placed with total distance %d", total)
 	}

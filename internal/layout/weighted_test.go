@@ -16,10 +16,10 @@ func legacyDistanceMatrix(g *topo.Graph, edgeWeight func(a, b int) float64) [][]
 	n := g.NumQubits()
 	dist := make([][]float64, n)
 	if edgeWeight == nil {
-		hops := g.AllPairsDistances()
+		hops := g.DistTable()
 		for i := range dist {
 			dist[i] = make([]float64, n)
-			for j, d := range hops[i] {
+			for j, d := range hops.Row(i) {
 				if d < 0 {
 					dist[i][j] = math.Inf(1)
 				} else {

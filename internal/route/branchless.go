@@ -17,9 +17,8 @@ import (
 // the sign bit of a subtraction. On the connected device graphs the routers
 // run on, every cost is finite and non-negative, so the subtraction can
 // produce neither NaN (needs Inf-Inf, i.e. unreachable pairs) nor -0 as a
-// comparison result, and the masks agree exactly with the legacy `<`
-// comparisons — the bit-identity golden tests pin this on every registry
-// device.
+// comparison result, and the masks agree exactly with `<` comparisons —
+// TestSearchRoutersPinned pins the routed output on every paper device.
 
 // eqMask returns an all-ones int when x == y and 0 otherwise, for small
 // non-negative x and y (qubit indices). x^y is 0 iff equal; subtracting 1
@@ -60,8 +59,8 @@ func winDelta(wg *winGate, term float64, pairC, trioC []float64, trioAdj float64
 
 // appendWinGate captures one window gate's scoring shape for the lookahead
 // sweep: physical operands resolved against the current (fixed) layout and
-// the accumulation weight. Gates with more than three operands score 0 in
-// the legacy closure and are skipped here for the same effect.
+// the accumulation weight. Gates with more than three operands score 0, so
+// they are skipped.
 func appendWinGate(win []winGate, s *state, gate circuit.Gate, w float64) []winGate {
 	switch len(gate.Qubits) {
 	case 2:
@@ -72,20 +71,4 @@ func appendWinGate(win []winGate, s *state, gate circuit.Gate, w float64) []winG
 			p0: s.l.Phys(gate.Qubits[0]), p1: s.l.Phys(gate.Qubits[1]), p2: s.l.Phys(gate.Qubits[2])})
 	}
 	return win
-}
-
-// LegacyScoring returns a copy of s that routes with the preserved branchy
-// delta-scoring trial. Identical results, bit for bit; it exists as the
-// "old" arm of equivalence tests and the kernel micro-benchmarks.
-func (s Stochastic) LegacyScoring() *Stochastic {
-	s.legacyScoring = true
-	return &s
-}
-
-// LegacyScoring returns a copy of lk that routes with the preserved branchy
-// window-scoring loop. Identical results, bit for bit; it exists as the
-// "old" arm of equivalence tests and the kernel micro-benchmarks.
-func (lk Lookahead) LegacyScoring() *Lookahead {
-	lk.legacyScoring = true
-	return &lk
 }

@@ -31,16 +31,11 @@ type Lookahead struct {
 	// Weight, when non-nil, makes swap scoring noise-aware: gate costs are
 	// weighted-path distances (-log CNOT success) from the oracle tables
 	// instead of hop counts, so the chosen SWAPs steer the window through
-	// reliable couplers. A nil Weight keeps legacy scoring bit for bit.
+	// reliable couplers. A nil Weight scores hop counts.
 	Weight func(a, b int) float64
 	// Oracle, when non-nil, is the precomputed weighted-path table for
 	// Weight (a cost model's per-(graph, calibration) memo).
 	Oracle *topo.WeightedOracle
-	// legacyScoring selects the preserved branchy scoring loop (layout
-	// swap + per-gate closure + compare-and-branch select) instead of the
-	// branchless slab sweep. The two are golden-tested bit-identical; the
-	// legacy arm is also the "old" side of the kernel micro-benchmarks.
-	legacyScoring bool
 }
 
 // winGate is one window gate's scoring shape, captured once per blocked
@@ -54,15 +49,13 @@ type winGate struct {
 
 // Route implements Router.
 //
-// The scheduler is a DAG ready-queue frontier rather than the former
-// O(n)-gates-per-iteration rescan: gates enter a sorted ready list when
-// their last predecessor completes, executable ones drain in ascending gate
-// order (the exact order the legacy full sweep executed them, since a gate's
-// successors always sit later in program order), and window collection scans
-// from the first undone gate instead of gate zero. Swap scoring walks only
-// the window gates, each cost an O(1) distance-oracle lookup, accumulating
-// in the legacy per-gate order so scores — and tie-breaks — are bit-identical
-// for any ExtendedWeight.
+// The scheduler is a DAG ready-queue frontier: gates enter a sorted ready
+// list when their last predecessor completes, executable ones drain in
+// ascending gate order (a gate's successors always sit later in program
+// order, so this is the order a full sweep to fixpoint would execute them),
+// and window collection scans from the first undone gate. Swap scoring walks
+// only the window gates, each cost an O(1) distance-table lookup,
+// accumulating front layer first, then the extended set, in program order.
 func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.Layout) (*Result, error) {
 	window := lk.Window
 	if window <= 0 {
@@ -93,28 +86,25 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 	edges := g.EdgeList()
 
 	// Cost slabs for the branchless sweep: pairC[a*nq+b] is a 2q gate's
-	// remaining routing cost with operands at (a, b); trioC feeds the 3q
-	// meeting-point min-sum, whose unweighted form subtracts trioAdj at the
-	// end. Building them once turns every per-candidate gate cost into one
-	// multiply-add load with no weighted/unweighted branch in the sweep.
-	// (Unweighted sums stay exact in float64 — hop counts are tiny ints —
-	// and weighted sums add the same worc.Dist values in the same order as
-	// the legacy closure, so scores are bit-identical.)
-	var pairC, trioC []float64
+	// remaining routing cost with operands at (a, b) — hops-to-adjacent, or
+	// in noise-aware mode the -log success of the movement plus the landing
+	// coupler; trioC feeds the 3q meeting-point min-sum, whose unweighted
+	// form subtracts trioAdj at the end. Building them once turns every
+	// per-candidate gate cost into one multiply-add load with no
+	// weighted/unweighted branch in the sweep. (Unweighted sums stay exact
+	// in float64: hop counts are tiny ints.)
+	pairC := make([]float64, nq*nq)
+	trioC := make([]float64, nq*nq)
 	trioAdj := 0.0
-	if !lk.legacyScoring {
-		pairC = make([]float64, nq*nq)
-		trioC = make([]float64, nq*nq)
-		if worc != nil {
-			copy(pairC, worc.Slab())
-			copy(trioC, worc.Slab())
-		} else {
-			for i, h := range d {
-				pairC[i] = float64(h - 1)
-				trioC[i] = float64(h)
-			}
-			trioAdj = 2
+	if worc != nil {
+		copy(pairC, worc.Slab())
+		copy(trioC, worc.Slab())
+	} else {
+		for i, h := range d {
+			pairC[i] = float64(h - 1)
+			trioC[i] = float64(h)
 		}
+		trioAdj = 2
 	}
 
 	// Window delta-scoring state, used when every score term is exact in
@@ -123,7 +113,7 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 	// "baseline + delta over the gates a swap touches" reproduces the full
 	// window sum bit for bit while doing a fraction of its work. Any other
 	// weighting falls back to the full branchless sweep below.
-	deltaOK := !lk.legacyScoring && worc == nil && extWeight == 0.5
+	deltaOK := worc == nil && extWeight == 0.5
 	var (
 		winTerm  []float64 // per window entry: weight * cost at rest
 		winAt    [][]int32 // per physical qubit: window entries touching it
@@ -169,56 +159,6 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 		}
 	}
 
-	// gateCost is the routing distance a pending gate still has to cover:
-	// hops-to-adjacent for pairs, meeting-point distance for trios. In
-	// noise-aware mode the same shapes are scored on the weighted tables, so
-	// cost is the -log success of the movement (plus the landing coupler)
-	// instead of its hop count; the unweighted arithmetic is untouched.
-	//
-	// Only the preserved legacy scoring loop calls it, so it reads the seed's
-	// access paths — [][]int distance rows and the row-materialized weighted
-	// table — keeping the "old" arm of the kernel micro-benchmarks honest.
-	var ldist [][]int
-	if lk.legacyScoring {
-		ldist = g.LegacyRows()
-	}
-	gateCost := func(gate circuit.Gate) float64 {
-		switch len(gate.Qubits) {
-		case 2:
-			if worc != nil {
-				return worc.DistLegacy(s.l.Phys(gate.Qubits[0]), s.l.Phys(gate.Qubits[1]))
-			}
-			return float64(ldist[s.l.Phys(gate.Qubits[0])][s.l.Phys(gate.Qubits[1])] - 1)
-		case 3:
-			ps := [3]int{s.l.Phys(gate.Qubits[0]), s.l.Phys(gate.Qubits[1]), s.l.Phys(gate.Qubits[2])}
-			if worc != nil {
-				best := math.Inf(1)
-				for i := 0; i < 3; i++ {
-					sum := 0.0
-					for j := 0; j < 3; j++ {
-						sum += worc.DistLegacy(ps[i], ps[j])
-					}
-					if sum < best {
-						best = sum
-					}
-				}
-				return best
-			}
-			best := int(^uint(0) >> 1)
-			for i := 0; i < 3; i++ {
-				sum := 0
-				for j := 0; j < 3; j++ {
-					sum += ldist[ps[i]][ps[j]]
-				}
-				if sum < best {
-					best = sum
-				}
-			}
-			return float64(best - 2)
-		}
-		return 0
-	}
-
 	executable := func(gate circuit.Gate) bool {
 		switch {
 		case gate.Name == circuit.Barrier || len(gate.Qubits) == 1:
@@ -245,8 +185,8 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 	// executeReady drains every executable frontier gate in ascending order.
 	// Executing a gate can only ready later gates (successors follow their
 	// predecessors in program order), so newly readied indices are inserted
-	// at or after the cursor and a single forward pass reproduces the legacy
-	// sweep-to-fixpoint exactly.
+	// at or after the cursor and a single forward pass reaches the same
+	// fixpoint as repeated sweeps.
 	executeReady := func() error {
 		for k := 0; k < len(ready); {
 			i := ready[k]
@@ -341,134 +281,100 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 		}
 		bestEdge := [2]int{-1, -1}
 		bestScore := 1e18
-		if lk.legacyScoring {
-			for _, e := range edges {
+		// Branchless sweep. Window operands are resolved to physical qubits
+		// once (the layout is fixed while scoring), in accumulation order:
+		// front layer at weight 1, then the extended set at ExtendedWeight.
+		// Each candidate maps every operand through the hypothetical swap
+		// with xor/mask arithmetic instead of mutating the layout, reads its
+		// cost from the flat slab, and feeds a sign-mask best-select — no
+		// compare-and-branch anywhere on the scoring path, so the sweep
+		// pipelines across candidates.
+		win = win[:0]
+		for _, gate := range front {
+			win = appendWinGate(win, s, gate, 1)
+		}
+		for _, gate := range extended {
+			win = appendWinGate(win, s, gate, extWeight)
+		}
+		bestIdx := -1
+		bb := math.Float64bits(bestScore)
+		if deltaOK {
+			// Baseline pass: score every window gate once at its current
+			// position (the exact term the full sweep would add), index
+			// the entries by the physical qubits they touch, and sum the
+			// at-rest score in window order.
+			winRound++
+			touchedW = touchedW[:0]
+			if cap(winTerm) < len(win) {
+				winTerm = make([]float64, len(win))
+			}
+			winTerm = winTerm[:len(win)]
+			score0 := 0.0
+			for wi := range win {
+				wg := &win[wi]
+				var cost float64
+				if wg.arity == 2 {
+					cost = pairC[wg.p0*nq+wg.p1]
+				} else {
+					s0 := trioC[wg.p0*nq+wg.p0] + trioC[wg.p0*nq+wg.p1] + trioC[wg.p0*nq+wg.p2]
+					s1 := trioC[wg.p1*nq+wg.p0] + trioC[wg.p1*nq+wg.p1] + trioC[wg.p1*nq+wg.p2]
+					s2 := trioC[wg.p2*nq+wg.p0] + trioC[wg.p2*nq+wg.p1] + trioC[wg.p2*nq+wg.p2]
+					m1 := uint64(int64(math.Float64bits(s1-s0)) >> 63)
+					b01 := math.Float64bits(s1)&m1 | math.Float64bits(s0)&^m1
+					f01 := math.Float64frombits(b01)
+					m2 := uint64(int64(math.Float64bits(s2-f01)) >> 63)
+					best := math.Float64frombits(math.Float64bits(s2)&m2 | b01&^m2)
+					cost = best - trioAdj
+				}
+				term := wg.w * cost
+				winTerm[wi] = term
+				score0 += term
+				qs := [3]int{wg.p0, wg.p1, wg.p2}
+				for _, q := range qs[:wg.arity] {
+					if winMark[q] != winRound {
+						winMark[q] = winRound
+						winAt[q] = winAt[q][:0]
+						touchedW = append(touchedW, q)
+					}
+					winAt[q] = append(winAt[q], int32(wi))
+				}
+			}
+			for idx, e := range edges {
 				if !involved[e[0]] && !involved[e[1]] {
 					continue
 				}
 				if e == lastSwap {
 					continue // anti-oscillation
 				}
-				s.l.SwapPhys(e[0], e[1])
-				score := 0.0
-				for _, gate := range front {
-					score += gateCost(gate)
+				e0, e1 := e[0], e[1]
+				x := e0 ^ e1
+				delta := 0.0
+				if winMark[e0] == winRound {
+					for _, wi := range winAt[e0] {
+						wg := &win[wi]
+						delta += winDelta(wg, winTerm[wi], pairC, trioC, trioAdj, nq, e0, e1, x)
+					}
 				}
-				for _, gate := range extended {
-					score += extWeight * gateCost(gate)
+				if winMark[e1] == winRound {
+					for _, wi := range winAt[e1] {
+						wg := &win[wi]
+						// A gate touching both endpoints already scored in
+						// e0's walk: zero its term with the arity-aware
+						// touch mask instead of branching.
+						am := eqMask(wg.arity, 3)
+						t0 := eqMask(wg.p0, e0) | eqMask(wg.p1, e0) | eqMask(wg.p2, e0)&am
+						dd := winDelta(wg, winTerm[wi], pairC, trioC, trioAdj, nq, e0, e1, x)
+						delta += math.Float64frombits(math.Float64bits(dd) &^ uint64(int64(t0)))
+					}
 				}
-				s.l.SwapPhys(e[0], e[1])
-				if score < bestScore {
-					bestEdge, bestScore = e, score
-				}
+				score := score0 + delta
+				m := int(int64(math.Float64bits(score-bestScore)) >> 63)
+				um := uint64(m)
+				bb = math.Float64bits(score)&um | bb&^um
+				bestScore = math.Float64frombits(bb)
+				bestIdx = idx&m | bestIdx&^m
 			}
 		} else {
-			// Branchless sweep. Window operands are resolved to physical
-			// qubits once (the layout is fixed while scoring), in the legacy
-			// accumulation order: front layer at weight 1, then the extended
-			// set at ExtendedWeight. Each candidate maps every operand
-			// through the hypothetical swap with xor/mask arithmetic instead
-			// of mutating the layout, reads its cost from the flat slab, and
-			// feeds a sign-mask best-select — no compare-and-branch anywhere
-			// on the scoring path, so the sweep pipelines across candidates.
-			win = win[:0]
-			for _, gate := range front {
-				win = appendWinGate(win, s, gate, 1)
-			}
-			for _, gate := range extended {
-				win = appendWinGate(win, s, gate, extWeight)
-			}
-			bestIdx := -1
-			bb := math.Float64bits(bestScore)
-			if deltaOK {
-				// Baseline pass: score every window gate once at its current
-				// position (the exact term the full sweep would add), index
-				// the entries by the physical qubits they touch, and sum the
-				// at-rest score in window order.
-				winRound++
-				touchedW = touchedW[:0]
-				if cap(winTerm) < len(win) {
-					winTerm = make([]float64, len(win))
-				}
-				winTerm = winTerm[:len(win)]
-				score0 := 0.0
-				for wi := range win {
-					wg := &win[wi]
-					var cost float64
-					if wg.arity == 2 {
-						cost = pairC[wg.p0*nq+wg.p1]
-					} else {
-						s0 := trioC[wg.p0*nq+wg.p0] + trioC[wg.p0*nq+wg.p1] + trioC[wg.p0*nq+wg.p2]
-						s1 := trioC[wg.p1*nq+wg.p0] + trioC[wg.p1*nq+wg.p1] + trioC[wg.p1*nq+wg.p2]
-						s2 := trioC[wg.p2*nq+wg.p0] + trioC[wg.p2*nq+wg.p1] + trioC[wg.p2*nq+wg.p2]
-						m1 := uint64(int64(math.Float64bits(s1-s0)) >> 63)
-						b01 := math.Float64bits(s1)&m1 | math.Float64bits(s0)&^m1
-						f01 := math.Float64frombits(b01)
-						m2 := uint64(int64(math.Float64bits(s2-f01)) >> 63)
-						best := math.Float64frombits(math.Float64bits(s2)&m2 | b01&^m2)
-						cost = best - trioAdj
-					}
-					term := wg.w * cost
-					winTerm[wi] = term
-					score0 += term
-					qs := [3]int{wg.p0, wg.p1, wg.p2}
-					for _, q := range qs[:wg.arity] {
-						if winMark[q] != winRound {
-							winMark[q] = winRound
-							winAt[q] = winAt[q][:0]
-							touchedW = append(touchedW, q)
-						}
-						winAt[q] = append(winAt[q], int32(wi))
-					}
-				}
-				for idx, e := range edges {
-					if !involved[e[0]] && !involved[e[1]] {
-						continue
-					}
-					if e == lastSwap {
-						continue // anti-oscillation
-					}
-					e0, e1 := e[0], e[1]
-					x := e0 ^ e1
-					delta := 0.0
-					if winMark[e0] == winRound {
-						for _, wi := range winAt[e0] {
-							wg := &win[wi]
-							delta += winDelta(wg, winTerm[wi], pairC, trioC, trioAdj, nq, e0, e1, x)
-						}
-					}
-					if winMark[e1] == winRound {
-						for _, wi := range winAt[e1] {
-							wg := &win[wi]
-							// A gate touching both endpoints already scored in
-							// e0's walk: zero its term with the arity-aware
-							// touch mask instead of branching.
-							am := eqMask(wg.arity, 3)
-							t0 := eqMask(wg.p0, e0) | eqMask(wg.p1, e0) | eqMask(wg.p2, e0)&am
-							dd := winDelta(wg, winTerm[wi], pairC, trioC, trioAdj, nq, e0, e1, x)
-							delta += math.Float64frombits(math.Float64bits(dd) &^ uint64(int64(t0)))
-						}
-					}
-					score := score0 + delta
-					m := int(int64(math.Float64bits(score-bestScore)) >> 63)
-					um := uint64(m)
-					bb = math.Float64bits(score)&um | bb&^um
-					bestScore = math.Float64frombits(bb)
-					bestIdx = idx&m | bestIdx&^m
-				}
-				if bestIdx >= 0 {
-					bestEdge = edges[bestIdx]
-				}
-				if bestEdge[0] < 0 {
-					return nil, fmt.Errorf("route: no candidate swap for blocked layer")
-				}
-				s.out.SWAP(bestEdge[0], bestEdge[1])
-				s.l.SwapPhys(bestEdge[0], bestEdge[1])
-				s.swaps++
-				lastSwap = bestEdge
-				stall++
-				continue
-			}
 			for idx, e := range edges {
 				if !involved[e[0]] && !involved[e[1]] {
 					continue
@@ -488,8 +394,7 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 					}
 					p2 := swapSel(wg.p2, e0, e1, x)
 					// Meeting-point min-sum over the three operands, with a
-					// sign-mask min (strict <, first wins ties — exactly the
-					// legacy loop's semantics).
+					// sign-mask min (strict <, first wins ties).
 					s0 := trioC[p0*nq+p0] + trioC[p0*nq+p1] + trioC[p0*nq+p2]
 					s1 := trioC[p1*nq+p0] + trioC[p1*nq+p1] + trioC[p1*nq+p2]
 					s2 := trioC[p2*nq+p0] + trioC[p2*nq+p1] + trioC[p2*nq+p2]
@@ -506,9 +411,9 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 				bestScore = math.Float64frombits(bb)
 				bestIdx = idx&m | bestIdx&^m
 			}
-			if bestIdx >= 0 {
-				bestEdge = edges[bestIdx]
-			}
+		}
+		if bestIdx >= 0 {
+			bestEdge = edges[bestIdx]
 		}
 		if bestEdge[0] < 0 {
 			return nil, fmt.Errorf("route: no candidate swap for blocked layer")

@@ -6,17 +6,9 @@ import (
 	"testing"
 )
 
-// Old-vs-new path machinery benchmarks (go test -bench . ./internal/topo):
-// the *BFS and WeightedPath variants are the preserved legacy per-query
-// implementations, the others hit the distance oracle tables.
-
-func BenchmarkDistancesBFS(b *testing.B) {
-	g := Johannesburg()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = g.DistancesBFS(i % 20)
-	}
-}
+// Path machinery benchmarks (go test -bench . ./internal/topo): the
+// WeightedPath variant runs a per-query Dijkstra, the others hit the
+// distance oracle tables.
 
 func BenchmarkDistancesOracle(b *testing.B) {
 	g := Johannesburg()
@@ -25,16 +17,6 @@ func BenchmarkDistancesOracle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = g.Distances(i % 20)
-	}
-}
-
-func BenchmarkShortestPathBFS(b *testing.B) {
-	g := Johannesburg()
-	rng := rand.New(rand.NewSource(1))
-	prefer := func(c []int) int { return rng.Intn(len(c)) }
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = g.ShortestPathTieBreakBFS(i%20, (i*7+3)%20, prefer)
 	}
 }
 

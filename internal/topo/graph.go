@@ -93,11 +93,6 @@ func (g *Graph) Connected(a, b int) bool {
 	return g.conn[a*g.n+b]
 }
 
-// ConnectedLegacy is the seed's adjacency test — a hash-map probe on the
-// canonical edge key — preserved verbatim as the "old" arm of the route
-// kernel micro-benchmarks. Semantically identical to Connected.
-func (g *Graph) ConnectedLegacy(a, b int) bool { return g.edge[edgeKey(a, b)] }
-
 // Neighbors returns the qubits adjacent to q. The returned slice is shared;
 // callers must not modify it.
 func (g *Graph) Neighbors(q int) []int { return g.adj[q] }

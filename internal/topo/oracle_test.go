@@ -8,6 +8,84 @@ import (
 	"testing"
 )
 
+// The per-query BFS routines the oracle replaced, kept verbatim as the
+// ground truth the oracle equivalence tests compare against on every
+// registry device.
+
+// bfsDistancesInto runs the BFS from src, writing hop distances into
+// dist (len n, -1 for unreachable).
+func bfsDistancesInto(g *Graph, src int, dist []int) {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []int{src}
+	for len(queue) > 0 {
+		q := queue[0]
+		queue = queue[1:]
+		for _, nb := range g.adj[q] {
+			if dist[nb] < 0 {
+				dist[nb] = dist[q] + 1
+				queue = append(queue, nb)
+			}
+		}
+	}
+}
+
+// DistancesBFS is the allocating per-query BFS behind Distances.
+func (g *Graph) DistancesBFS(src int) []int {
+	dist := make([]int, g.n)
+	bfsDistancesInto(g, src, dist)
+	return dist
+}
+
+// AllPairsDistancesBFS is the matrix construction, one BFS per row.
+func (g *Graph) AllPairsDistancesBFS() [][]int {
+	d := make([][]int, g.n)
+	for i := 0; i < g.n; i++ {
+		d[i] = g.DistancesBFS(i)
+	}
+	return d
+}
+
+// ShortestPathTieBreakBFS is the BFS-per-query path walk behind
+// ShortestPathTieBreak. Its candidate enumeration order defines the
+// contract the oracle's candidate table reproduces.
+func (g *Graph) ShortestPathTieBreakBFS(src, dst int, prefer func(cands []int) int) []int {
+	if src == dst {
+		return []int{src}
+	}
+	distTo := g.DistancesBFS(dst)
+	if distTo[src] < 0 {
+		return nil
+	}
+	path := make([]int, 0, distTo[src]+1)
+	path = append(path, src)
+	cur := src
+	cands := make([]int, 0, 4)
+	for cur != dst {
+		cands = cands[:0]
+		for _, nb := range g.adj[cur] {
+			if distTo[nb] == distTo[cur]-1 {
+				cands = append(cands, nb)
+			}
+		}
+		next := cands[0]
+		if prefer != nil && len(cands) > 1 {
+			next = cands[prefer(cands)]
+		} else {
+			for _, c := range cands[1:] {
+				if c < next {
+					next = c
+				}
+			}
+		}
+		path = append(path, next)
+		cur = next
+	}
+	return path
+}
+
 // registryDevices returns every named device shape the repo routes on, plus
 // small synthetic and disconnected graphs, so oracle equivalence is checked
 // against the legacy BFS on all of them.

@@ -4,9 +4,7 @@ import "math"
 
 // Distances returns the hop distances from src to every qubit (-1 when
 // unreachable) as a row of the precomputed distance oracle's flat int32
-// slab. The returned slice is shared; callers must not modify it. (The
-// legacy allocating BFS survives as DistancesBFS for equivalence tests and
-// benchmarks.)
+// slab. The returned slice is shared; callers must not modify it.
 func (g *Graph) Distances(src int) []int32 {
 	o := g.ensureOracle()
 	return o.dist[src*g.n : (src+1)*g.n]
@@ -27,10 +25,10 @@ func (g *Graph) ShortestPath(src, dst int) []int {
 // RNG while keeping the default deterministic.
 //
 // The walk reads the distance oracle's candidate table, which stores next
-// hops in the exact adjacency order the legacy BFS enumerated them — prefer
+// hops in the exact adjacency order a per-query BFS enumerates them — prefer
 // sees identical candidate slices (shared; it must not modify them) and is
 // invoked the same number of times, so seeded tie-break streams are
-// bit-identical to the BFS implementation's.
+// bit-identical to a BFS walk's.
 func (g *Graph) ShortestPathTieBreak(src, dst int, prefer func(cands []int32) int) []int {
 	o := g.ensureOracle()
 	if src == dst {
