@@ -128,11 +128,6 @@ type Options struct {
 	// identical output) while still reporting calibrated fidelity stats —
 	// the control arm of every noise-aware comparison.
 	CostModel device.CostModel
-	// NoiseWeight is the legacy function-valued noise hook, kept for ad-hoc
-	// weight landscapes: when non-nil, routing and placement weigh edges by
-	// weight(a, b). Such options have no CacheKey; prefer Calibration.
-	// Setting it together with CostModel is an error.
-	NoiseWeight func(a, b int) float64
 	// Templates, when non-nil, is consulted before the pipeline runs: a
 	// source holding precompiled fragments for this (input, device, option)
 	// combination can serve or stitch the result without paying the full
@@ -158,20 +153,15 @@ type TemplateSource interface {
 }
 
 // costModel resolves the effective cost model: an explicit CostModel wins,
-// then the legacy NoiseWeight shim, then the calibration's shared noise
-// model, then Uniform (hop counts — the legacy noise-blind behavior).
-func (o Options) costModel() (device.CostModel, error) {
+// then the calibration's shared noise model, then Uniform (hop counts).
+func (o Options) costModel() device.CostModel {
 	switch {
-	case o.CostModel != nil && o.NoiseWeight != nil:
-		return nil, fmt.Errorf("compiler: set either CostModel or NoiseWeight, not both")
 	case o.CostModel != nil:
-		return o.CostModel, nil
-	case o.NoiseWeight != nil:
-		return device.NewWeightFunc(o.NoiseWeight), nil
+		return o.CostModel
 	case o.Calibration != nil:
-		return device.NoiseFor(o.Calibration), nil
+		return device.NoiseFor(o.Calibration)
 	default:
-		return device.Uniform{}, nil
+		return device.Uniform{}
 	}
 }
 
@@ -199,7 +189,7 @@ type Result struct {
 	// pass: the ASAP duration of the compiled circuit.
 	ScheduledDuration float64
 	// CostModel names the cost model that drove layout and routing
-	// ("uniform", "noise:<calibration>", "custom").
+	// ("uniform" or "noise:<calibration>").
 	CostModel string
 	// EstimatedSuccess and Makespan are the fidelity block, filled when
 	// Options.Calibration is set: the closed-form per-edge/per-qubit success
@@ -257,7 +247,7 @@ func initialLayout(c *circuit.Circuit, g *topo.Graph, opts Options, cm device.Co
 		// Under a noise cost model, placement is noise-aware too (§4's
 		// pairing of noise-aware mapping and routing): distances come from
 		// the model's memoized weighted-path oracle. Uniform's nil oracle
-		// selects the hop-count tables — the legacy path, bit for bit.
+		// selects the hop-count tables.
 		return layout.GreedyWeighted(c, g, cm.Oracle(g))
 	case PlaceRandom:
 		return layout.Random(g.NumQubits(), rand.New(rand.NewSource(opts.Seed))), nil
@@ -270,7 +260,7 @@ func initialLayout(c *circuit.Circuit, g *topo.Graph, opts Options, cm device.Co
 // is set by the Trios pipeline, whose router must accept intact CCX gates.
 // Every router receives the cost model's edge weights and its memoized
 // weighted-path tables; under Uniform both are nil and every router runs its
-// legacy hop-count code path unchanged.
+// hop-count code path.
 func pickRouter(opts Options, trioAware bool, cm device.CostModel, g *topo.Graph) (route.Router, error) {
 	weight, oracle := routerWeights(cm, g)
 	switch opts.Router {

@@ -1,11 +1,14 @@
 package compiler
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"trios/internal/circuit"
 	"trios/internal/decompose"
+	"trios/internal/device"
+	"trios/internal/sched"
 	"trios/internal/sim"
 	"trios/internal/topo"
 )
@@ -222,10 +225,11 @@ func TestMeasuresSurviveCompilation(t *testing.T) {
 
 func TestNoiseAwareCompilation(t *testing.T) {
 	g := topo.Grid(2, 3)
-	weight := func(a, b int) float64 { return 1 }
+	// Every coupling weighs -log(1-e) = 1.
+	cal := device.Flat("unit-weight", g, 70, 70, 0.0004, 1-math.Exp(-1), 0.03, sched.JohannesburgTimes())
 	c := circuit.New(3)
 	c.CCX(0, 1, 2)
-	res, err := Compile(c, g, Options{Pipeline: TriosPipeline, NoiseWeight: weight})
+	res, err := Compile(c, g, Options{Pipeline: TriosPipeline, CostModel: device.NewNoise(cal)})
 	if err != nil {
 		t.Fatal(err)
 	}

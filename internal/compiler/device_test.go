@@ -182,33 +182,21 @@ func TestCacheKeySeparatesCalibrationsAndCostModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := Options{Pipeline: TriosPipeline, Seed: 1}
-	k0, err := base.CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	k0 := base.CacheKey()
 
 	uni := base
 	uni.Calibration = cal
 	uni.CostModel = device.Uniform{}
-	k1, err := uni.CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	k1 := uni.CacheKey()
 
 	aware := base
 	aware.Calibration = cal
-	k2, err := aware.CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	k2 := aware.CacheKey()
 
 	other := base
 	other.Calibration = cal.Clone()
 	other.Calibration.SetEdgeError(0, 1, 0.3)
-	k3, err := other.CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	k3 := other.CacheKey()
 
 	keys := map[string]string{"plain": k0, "uniform+cal": k1, "noise+cal": k2, "noise+other-cal": k3}
 	seen := map[string]string{}
@@ -222,10 +210,7 @@ func TestCacheKeySeparatesCalibrationsAndCostModels(t *testing.T) {
 	// Equal calibration content (distinct pointer) shares a key.
 	clone := base
 	clone.Calibration = cal.Clone()
-	k4, err := clone.CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	k4 := clone.CacheKey()
 	if k4 != k2 {
 		t.Error("equal calibration content should share a cache key")
 	}

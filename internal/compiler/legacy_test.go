@@ -52,10 +52,7 @@ func legacyCompileConventional(input *circuit.Circuit, g *topo.Graph, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	cm, err := opts.costModel()
-	if err != nil {
-		return nil, err
-	}
+	cm := opts.costModel()
 	init, err := initialLayout(decomposed, g, opts, cm)
 	if err != nil {
 		return nil, err
@@ -87,10 +84,7 @@ func legacyCompileTrios(input *circuit.Circuit, g *topo.Graph, opts Options) (*R
 	if err != nil {
 		return nil, err
 	}
-	cm, err := opts.costModel()
-	if err != nil {
-		return nil, err
-	}
+	cm := opts.costModel()
 	init, err := initialLayout(kept, g, opts, cm)
 	if err != nil {
 		return nil, err
@@ -109,7 +103,7 @@ func legacyCompileTrios(input *circuit.Circuit, g *topo.Graph, opts Options) (*R
 		if err != nil {
 			return nil, err
 		}
-		fixRouter := &route.Baseline{Seed: opts.Seed + 1, Weight: opts.NoiseWeight}
+		fixRouter := &route.Baseline{Seed: opts.Seed + 1}
 		fixed, err := fixRouter.Route(second, g, layout.Identity(g.NumQubits()))
 		if err != nil {
 			return nil, err
@@ -157,10 +151,7 @@ func legacyCompileGroups(input *circuit.Circuit, g *topo.Graph, opts Options) (*
 	if err != nil {
 		return nil, err
 	}
-	cm, err := opts.costModel()
-	if err != nil {
-		return nil, err
-	}
+	cm := opts.costModel()
 	init, err := initialLayout(kept, g, opts, cm)
 	if err != nil {
 		return nil, err

@@ -4,9 +4,27 @@ import (
 	"testing"
 
 	"trios/internal/circuit"
+	"trios/internal/device"
 	"trios/internal/noise"
+	"trios/internal/sched"
 	"trios/internal/topo"
 )
+
+// edgeCal builds a calibration of g carrying em's per-coupling CNOT errors,
+// so a Noise cost model over it routes by the same -log(1-e) edge weights
+// as em.RouteWeight.
+func edgeCal(t *testing.T, g *topo.Graph, em *noise.EdgeMap) *device.Calibration {
+	t.Helper()
+	cal := device.Flat("edges", g, 70, 70, 0.0004, 0, 0.03, sched.JohannesburgTimes())
+	for _, e := range g.Edges() {
+		errRate, err := em.Error(e[0], e[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal.SetEdgeError(e[0], e[1], errRate)
+	}
+	return cal
+}
 
 // TestNoiseAwareRoutingAvoidsHotEdges exercises the paper's §4 noise-aware
 // extension end to end: with one very bad coupling on the only short path,
@@ -30,7 +48,7 @@ func TestNoiseAwareRoutingAvoidsHotEdges(t *testing.T) {
 	}
 	aware, err := Compile(src, g, Options{
 		Pipeline: Conventional, InitialLayout: init, Seed: 2,
-		NoiseWeight: em.RouteWeight(),
+		CostModel: device.NewNoise(edgeCal(t, g, em)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +91,7 @@ func TestNoiseAwareTrioRouting(t *testing.T) {
 	res, err := Compile(src, g, Options{
 		Pipeline:      TriosPipeline,
 		InitialLayout: []int{0, 8, 6},
-		NoiseWeight:   em.RouteWeight(),
+		CostModel:     device.NewNoise(edgeCal(t, g, em)),
 		Seed:          5,
 	})
 	if err != nil {
@@ -97,7 +115,7 @@ func TestNoiseAwareTrioAvoidsHotCoupler(t *testing.T) {
 	aware, err := Compile(src, g, Options{
 		Pipeline:      TriosPipeline,
 		InitialLayout: []int{2, 11, 15},
-		NoiseWeight:   em.RouteWeight(),
+		CostModel:     device.NewNoise(edgeCal(t, g, em)),
 		Seed:          8,
 	})
 	if err != nil {
@@ -142,10 +160,10 @@ func TestNoiseAwareTrioAvoidsHotCoupler(t *testing.T) {
 	}
 }
 
-// TestStochasticAndLookaheadAcceptNoiseWeights: since the unified cost
-// layer, every router scores against the weighted-path tables — the
-// stochastic and lookahead strategies included. The compiled circuits must
-// stay legal and verified under weights.
+// TestStochasticAndLookaheadAcceptNoiseWeights: every router scores against
+// a noise cost model's weighted-path tables — the stochastic and lookahead
+// strategies included. The compiled circuits must stay legal and verified
+// under weights.
 func TestStochasticAndLookaheadAcceptNoiseWeights(t *testing.T) {
 	g := topo.Grid(3, 3)
 	em := noise.SyntheticCalibration(g, 0.01, 0.6, 2, 9)
@@ -153,11 +171,11 @@ func TestStochasticAndLookaheadAcceptNoiseWeights(t *testing.T) {
 	src.CX(0, 3).CCX(0, 1, 2).CX(2, 3).CX(0, 2)
 	for _, router := range []RouterKind{RouteStochastic, RouteLookahead} {
 		res, err := Compile(src, g, Options{
-			Pipeline:    TriosPipeline,
-			Router:      router,
-			Placement:   PlaceGreedy,
-			NoiseWeight: em.RouteWeight(),
-			Seed:        3,
+			Pipeline:  TriosPipeline,
+			Router:    router,
+			Placement: PlaceGreedy,
+			CostModel: device.NewNoise(edgeCal(t, g, em)),
+			Seed:      3,
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", router, err)
@@ -181,7 +199,7 @@ func TestLookaheadNoiseAwareAvoidsHotEdge(t *testing.T) {
 	aware, err := Compile(src, g, Options{
 		Pipeline: Conventional, Router: RouteLookahead,
 		InitialLayout: init, Seed: 2,
-		NoiseWeight: em.RouteWeight(),
+		CostModel: device.NewNoise(edgeCal(t, g, em)),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +242,7 @@ func TestStochasticNoiseAwareImprovesSuccess(t *testing.T) {
 		aware, err := Compile(src, g, Options{
 			Pipeline: Conventional, Router: RouteStochastic,
 			InitialLayout: init, Seed: seed,
-			NoiseWeight: em.RouteWeight(),
+			CostModel: device.NewNoise(edgeCal(t, g, em)),
 		})
 		if err != nil {
 			t.Fatal(err)

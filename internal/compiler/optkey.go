@@ -1,8 +1,6 @@
 // Cache-key-stable option fingerprints: the serving layer content-addresses
 // compiled artifacts by (canonical QASM, device, option set), so every option
-// that can change the compiled output must serialize into a canonical string
-// — and options that cannot (function-valued noise weights) must refuse a key
-// rather than silently aliasing distinct compilations.
+// that can change the compiled output must serialize into a canonical string.
 package compiler
 
 import (
@@ -131,21 +129,7 @@ func (p Placement) String() string {
 // evaluated under different calibrations can never alias, while a Uniform
 // compile with and without a calibration (identical QASM, different stats
 // block) also key apart.
-//
-// Options carrying a NoiseWeight function have no canonical serialization
-// and return an error: callers must compile those uncached.
-func (o Options) CacheKey() (string, error) {
-	if o.NoiseWeight != nil {
-		return "", fmt.Errorf("compiler: options with a NoiseWeight function have no cache key")
-	}
-	cm, err := o.costModel()
-	if err != nil {
-		return "", err
-	}
-	costKey, err := cm.CacheKey()
-	if err != nil {
-		return "", fmt.Errorf("compiler: options have no cache key: %w", err)
-	}
+func (o Options) CacheKey() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "pipeline=%s;router=%s;toffoli=%s;placement=%s;seed=%d;optimize=%t;layout=",
 		o.Pipeline, o.Router, o.Mode, o.Placement, o.Seed, o.Optimize)
@@ -159,7 +143,7 @@ func (o Options) CacheKey() (string, error) {
 			fmt.Fprintf(&b, "%d", p)
 		}
 	}
-	fmt.Fprintf(&b, ";cost=%s;cal=", costKey)
+	fmt.Fprintf(&b, ";cost=%s;cal=", o.costModel().CacheKey())
 	if o.Calibration == nil {
 		b.WriteString("none")
 	} else {
@@ -171,5 +155,5 @@ func (o Options) CacheKey() (string, error) {
 	} else {
 		b.WriteString(o.Templates.Digest())
 	}
-	return b.String(), nil
+	return b.String()
 }

@@ -117,15 +117,11 @@ func NewPass(name string, fn func(ctx *PassContext, c *circuit.Circuit) error) P
 // pipelines driven outside compileFrom (tests, custom pass lists) need no
 // setup. Resolution is sticky: every pass of one compilation scores against
 // the same model instance and its memoized tables.
-func (ctx *PassContext) costModel() (device.CostModel, error) {
+func (ctx *PassContext) costModel() device.CostModel {
 	if ctx.Cost == nil {
-		cm, err := ctx.Opts.costModel()
-		if err != nil {
-			return nil, err
-		}
-		ctx.Cost = cm
+		ctx.Cost = ctx.Opts.costModel()
 	}
-	return ctx.Cost, nil
+	return ctx.Cost
 }
 
 // routerWeights unpacks a cost model into the weight function and memoized
@@ -269,11 +265,7 @@ func LowerPass() Pass {
 // circuit's interaction structure, and seeds Final with a copy of it.
 func PlacePass() Pass {
 	return NewPass("layout:place", func(ctx *PassContext, c *circuit.Circuit) error {
-		cm, err := ctx.costModel()
-		if err != nil {
-			return err
-		}
-		init, err := initialLayout(c, ctx.Graph, ctx.Opts, cm)
+		init, err := initialLayout(c, ctx.Graph, ctx.Opts, ctx.costModel())
 		if err != nil {
 			return err
 		}
@@ -313,11 +305,7 @@ type incremental interface {
 // routers need the whole circuit and route c on its own.
 func routeMain(ctx *PassContext, c *circuit.Circuit, trioAware bool) (*route.Result, error) {
 	if ctx.main == nil {
-		cm, err := ctx.costModel()
-		if err != nil {
-			return nil, err
-		}
-		router, err := pickRouter(ctx.Opts, trioAware, cm, ctx.Graph)
+		router, err := pickRouter(ctx.Opts, trioAware, ctx.costModel(), ctx.Graph)
 		if err != nil {
 			return nil, err
 		}
@@ -403,11 +391,7 @@ func finalPlacement(main *layout.Layout, fixup *route.Session) []int {
 // scores against the same cost model as the main routing pass and is
 // seeded with Seed+1 to decorrelate it from the main routing pass.
 func baselineFixup(ctx *PassContext) (*route.Session, error) {
-	cm, err := ctx.costModel()
-	if err != nil {
-		return nil, err
-	}
-	w, oracle := routerWeights(cm, ctx.Graph)
+	w, oracle := routerWeights(ctx.costModel(), ctx.Graph)
 	r := &route.Baseline{Seed: ctx.Opts.Seed + 1, Weight: w, Oracle: oracle}
 	return r.Begin(ctx.Graph, layout.Identity(ctx.Graph.NumQubits()))
 }
@@ -647,10 +631,7 @@ func prepare(numQubits int, g *topo.Graph, opts Options) (device.CostModel, erro
 	if err := checkFits(numQubits, g); err != nil {
 		return nil, err
 	}
-	cm, err := opts.costModel()
-	if err != nil {
-		return nil, err
-	}
+	cm := opts.costModel()
 	if opts.Calibration != nil {
 		if err := opts.Calibration.CheckGraph(g); err != nil {
 			return nil, err

@@ -1,33 +1,30 @@
 package device
 
 import (
-	"fmt"
 	"sync"
 
 	"trios/internal/topo"
 )
 
-// CostModel is the pluggable "what does an edge cost" policy behind layout
-// and routing. Two implementations ship: Uniform (hop counts — the legacy
-// noise-blind behavior, bit for bit) and Noise (edge weights from a
-// Calibration's -log CNOT success rates, memoized into topo.WeightedOracle
-// tables per (graph, calibration) pair).
+// CostModel is the "what does an edge cost" policy behind layout and
+// routing. Two implementations ship: Uniform (hop counts — noise-blind) and
+// Noise (edge weights from a Calibration's -log CNOT success rates, memoized
+// into topo.WeightedOracle tables per (graph, calibration) pair).
 type CostModel interface {
 	// Name labels the model in stats and reports ("uniform", "noise:...").
 	Name() string
 	// Weight returns the routing edge-weight function, or nil to select
 	// hop-count routing. A nil Weight is the Uniform contract: every
-	// consumer must fall back to its legacy unweighted code path, which is
-	// what keeps Uniform compilations bit-identical to noise-blind ones.
+	// consumer must fall back to its unweighted code path, which is what
+	// keeps Uniform compilations bit-identical to noise-blind ones.
 	Weight() func(a, b int) float64
 	// Oracle returns the weighted-path oracle for g (nil when Weight is
 	// nil). Implementations memoize: the Dijkstra sweep runs once per
 	// (graph, model) pair and every subsequent query is a table lookup.
 	Oracle(g *topo.Graph) *topo.WeightedOracle
 	// CacheKey returns a canonical identity for content-addressed compile
-	// caching, or an error when the model has no canonical serialization
-	// (function-valued weights); such compilations must stay uncached.
-	CacheKey() (string, error)
+	// caching.
+	CacheKey() string
 }
 
 // Uniform is the noise-blind cost model: every edge costs one hop. Routing
@@ -47,7 +44,7 @@ func (Uniform) Weight() func(a, b int) float64 { return nil }
 func (Uniform) Oracle(g *topo.Graph) *topo.WeightedOracle { return nil }
 
 // CacheKey implements CostModel.
-func (Uniform) CacheKey() (string, error) { return "uniform", nil }
+func (Uniform) CacheKey() string { return "uniform" }
 
 // oracleCache memoizes one WeightedOracle per graph for a fixed weight
 // function. Keying on *topo.Graph identity is deliberate: graphs are
@@ -102,7 +99,7 @@ func (n *Noise) Oracle(g *topo.Graph) *topo.WeightedOracle { return n.oc.oracle(
 // CacheKey implements CostModel: the calibration's content digest, so two
 // calibrations with equal values share cached artifacts and any difference
 // separates them.
-func (n *Noise) CacheKey() (string, error) { return "noise:" + n.cal.Digest(), nil }
+func (n *Noise) CacheKey() string { return "noise:" + n.cal.Digest() }
 
 // noiseModels memoizes the canonical Noise model per Calibration identity,
 // bounded so a long-lived process that keeps loading fresh calibrations from
@@ -134,35 +131,4 @@ func NoiseFor(cal *Calibration) *Noise {
 	m := NewNoise(cal)
 	noiseModels.m[cal] = m
 	return m
-}
-
-// WeightFunc adapts an arbitrary edge-weight function to the CostModel
-// interface — the compatibility shim behind the legacy compiler.Options
-// NoiseWeight field. It memoizes oracles like Noise but has no canonical
-// cache identity.
-type WeightFunc struct {
-	oc oracleCache
-}
-
-// NewWeightFunc wraps fn (which must be non-nil) as a cost model.
-func NewWeightFunc(fn func(a, b int) float64) *WeightFunc {
-	if fn == nil {
-		panic("device: NewWeightFunc(nil); use Uniform for hop-count costs")
-	}
-	return &WeightFunc{oc: oracleCache{weight: fn}}
-}
-
-// Name implements CostModel.
-func (*WeightFunc) Name() string { return "custom" }
-
-// Weight implements CostModel.
-func (w *WeightFunc) Weight() func(a, b int) float64 { return w.oc.weight }
-
-// Oracle implements CostModel.
-func (w *WeightFunc) Oracle(g *topo.Graph) *topo.WeightedOracle { return w.oc.oracle(g) }
-
-// CacheKey implements CostModel: function values have no canonical
-// serialization, so compilations under a WeightFunc cannot be cached.
-func (*WeightFunc) CacheKey() (string, error) {
-	return "", fmt.Errorf("device: function-valued cost models have no cache key")
 }

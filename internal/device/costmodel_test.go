@@ -16,9 +16,8 @@ func TestUniformContract(t *testing.T) {
 	if u.Oracle(topo.Line(4)) != nil {
 		t.Error("Uniform.Oracle must be nil")
 	}
-	key, err := u.CacheKey()
-	if err != nil || key != "uniform" {
-		t.Errorf("CacheKey = %q, %v", key, err)
+	if key := u.CacheKey(); key != "uniform" {
+		t.Errorf("CacheKey = %q", key)
 	}
 }
 
@@ -80,39 +79,16 @@ func TestNoiseOracleMatchesWeights(t *testing.T) {
 
 func TestNoiseCacheKeyTracksContent(t *testing.T) {
 	a := JohannesburgFlat()
-	ka, err := NewNoise(a).CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kb, err := NewNoise(a.Clone()).CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ka := NewNoise(a).CacheKey()
+	kb := NewNoise(a.Clone()).CacheKey()
 	if ka != kb {
 		t.Error("equal calibrations must share a cache key")
 	}
 	c := a.Clone()
 	c.SetEdgeError(5, 6, 0.2)
-	kc, err := NewNoise(c).CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	kc := NewNoise(c).CacheKey()
 	if kc == ka {
 		t.Error("different calibrations must not share a cache key")
-	}
-}
-
-func TestWeightFuncHasNoCacheKey(t *testing.T) {
-	w := NewWeightFunc(func(a, b int) float64 { return 1 })
-	if _, err := w.CacheKey(); err == nil {
-		t.Error("WeightFunc.CacheKey must refuse")
-	}
-	if w.Weight() == nil {
-		t.Error("WeightFunc.Weight must be non-nil")
-	}
-	g := topo.Line(5)
-	if w.Oracle(g) != w.Oracle(g) {
-		t.Error("WeightFunc.Oracle not memoized")
 	}
 }
 

@@ -127,12 +127,8 @@ func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 	span := obs.SpanFromContext(r.Context())
 	if s.cfg.Templates != nil {
 		tspan := span.Child("template:attach")
-		err := spec.AttachTemplates(s.cfg.Templates)
+		spec.AttachTemplates(s.cfg.Templates)
 		tspan.End()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
 	}
 	art, outcome, err := s.Compile(r.Context(), spec)
 	if err != nil {

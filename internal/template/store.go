@@ -90,10 +90,7 @@ func stripped(opts compiler.Options) compiler.Options {
 // cheap. It returns the number of fragments compiled by this call.
 func (s *Store) Precompile(ctx context.Context, g *topo.Graph, opts compiler.Options) (int, error) {
 	opts = stripped(opts)
-	optKey, err := opts.CacheKey()
-	if err != nil {
-		return 0, err
-	}
+	optKey := opts.CacheKey()
 	compiled := 0
 	for _, t := range s.lib.Templates() {
 		if t.Circuit.NumQubits > g.NumQubits() {
@@ -133,12 +130,7 @@ func (s *Store) get(digest, device, optKey string) *compiler.Result {
 // else is a miss and the caller falls back to the full pipeline.
 func (s *Store) Stitch(ctx context.Context, input *circuit.Circuit, g *topo.Graph, opts compiler.Options) (*compiler.Result, bool, error) {
 	opts = stripped(opts)
-	optKey, err := opts.CacheKey()
-	if err != nil {
-		// Options without a canonical fingerprint (function-valued noise
-		// hooks) cannot address fragments; compile them normally.
-		return nil, false, nil
-	}
+	optKey := opts.CacheKey()
 	start := time.Now()
 	canon, err := qasm.Emit(input)
 	if err != nil {
