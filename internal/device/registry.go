@@ -53,7 +53,7 @@ func fill(n int, v float64) []float64 {
 
 // JohannesburgFlat returns the device-average Johannesburg calibration: the
 // paper's reported 8/19/2020 constants applied uniformly. Success estimates
-// under it reproduce the legacy noise.Johannesburg0819 model exactly.
+// under it reproduce the scalar noise.Johannesburg0819 model exactly.
 func JohannesburgFlat() *Calibration {
 	return Flat("johannesburg-flat", topo.Johannesburg(),
 		jhbT1, jhbT2, jhbOneQubitError, jhbTwoQubitError, jhbReadoutError,
@@ -117,8 +117,9 @@ func Synthetic(name string, g *topo.Graph, sigma float64, hotEdges int, seed int
 // synthesized deterministically in the shape daily data takes (log-normal
 // around the reported means with a few 10x-degraded couplers).
 // "johannesburg-flat" applies the averages uniformly — under it, success
-// estimates match the legacy scalar model bit for bit. The *-synthetic
-// entries characterize the paper's other three topologies the same way.
+// estimates match the scalar noise.Johannesburg0819 model bit for bit. The
+// *-synthetic entries characterize the paper's other three topologies the
+// same way.
 var registry = []struct {
 	name   string
 	device string

@@ -76,19 +76,6 @@ func BenchmarkEquivalenceCheck(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyLegacy16 vs BenchmarkApplyFused16 measures the kernel
-// rewrite: legacy full-scan loops against the fused branch-free program.
-func BenchmarkApplyLegacy16(b *testing.B) {
-	c := benchCircuit(16, 100, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s := NewState(16)
-		if err := s.LegacyApplyCircuit(c); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkApplyFused16(b *testing.B) {
 	c := benchCircuit(16, 100, 1)
 	p, err := Fuse(c, 16)
@@ -114,20 +101,6 @@ func BenchmarkApplyFusedParallel16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := NewState(16)
 		if err := p.Run(s, defaultWorkers()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTrajectorySerial vs BenchmarkTrajectoryEngine measures the
-// Monte-Carlo path: legacy serial sampler against the engine's trajectory
-// backend at GOMAXPROCS workers.
-func BenchmarkTrajectorySerial(b *testing.B) {
-	c := benchCircuit(10, 40, 5)
-	noise := PauliNoise{OneQubitError: 0.001, TwoQubitError: 0.01}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarloSuccessLegacy(c, noise, 0, 1, 200, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,8 @@
 // Branch-free amplitude-sweep kernels.
 //
 // Every gate on an n-qubit statevector touches a structured subset of the
-// 2^n amplitudes. The legacy loops scanned all 2^n indices and skipped the
-// ones outside the subset with data-dependent branches; the kernels here
+// 2^n amplitudes. A full scan visits all 2^n indices and skips the ones
+// outside the subset with data-dependent branches; the kernels here
 // instead iterate a compact counter over exactly the subset and reconstruct
 // each amplitude index by re-inserting the fixed bits (the "expand" trick
 // from table-driven bit-parallel kernels). That removes the skip branches
@@ -95,8 +95,8 @@ func strideDeltas(dst []uint64, total uint64, masks []uint64) []uint64 {
 
 // mat2Range applies a 2x2 matrix to qubit q on the compact pair range
 // [lo, hi): pair k maps to indices (i, i|bit) with the q-th bit re-inserted
-// as zero. Pairs are visited in ascending index order, matching the legacy
-// full-scan order exactly.
+// as zero. Pairs are visited in ascending index order, matching a full
+// scan's order exactly.
 func mat2Range(amp []complex128, m gatemat.Mat2, q int, lo, hi uint64) {
 	if lo >= hi {
 		return

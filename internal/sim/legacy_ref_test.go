@@ -1,9 +1,7 @@
-// Legacy full-scan simulation loops, preserved verbatim from before the
-// kernel rewrite. legacy_test.go and kernels_equiv_test.go prove the
-// branch-free kernels produce bit-identical states against them, and the
-// Go benchmarks in bench_test.go time them as the old side of each
-// old-vs-new pair (the same discipline the distance-oracle refactor applied
-// to the BFS path machinery).
+// Full-scan simulation loops, kept verbatim from before the kernel rewrite
+// as the reference legacy_test.go and kernels_equiv_test.go hold the
+// branch-free kernels and the Monte-Carlo path to, bit for bit.
+
 package sim
 
 import (
@@ -152,12 +150,11 @@ func (s *State) LegacyApplyCircuit(c *circuit.Circuit) error {
 	return nil
 }
 
-// MonteCarloSuccessLegacy is the pre-refactor Monte-Carlo loop, preserved
+// MonteCarloSuccessLegacy is the pre-refactor Monte-Carlo loop, kept
 // verbatim (serial, gate-at-a-time, legacy kernels, Measure gates skipped
 // and expectMask compared as given). TestMonteCarloBitIdenticalToLegacy
-// proves the refactored MonteCarloSuccess returns bit-identical results for
-// every fixed seed, and BenchmarkTrajectorySerial times it as the
-// trajectory baseline.
+// proves MonteCarloSuccess returns bit-identical results for every fixed
+// seed.
 func MonteCarloSuccessLegacy(c *circuit.Circuit, noise PauliNoise, expect, expectMask uint64, shots int, seed int64) (float64, error) {
 	if c.NumQubits > 14 {
 		return 0, fmt.Errorf("sim: monte carlo limited to 14 qubits, circuit has %d", c.NumQubits)

@@ -113,7 +113,7 @@ func MonteCarloSuccess(c *circuit.Circuit, noise PauliNoise, expect, expectMask 
 		}
 		out := s.MeasureAll(rng)
 		// Readout flips. The loop covers every qubit (not just measured
-		// ones) to preserve the legacy RNG stream; flips outside cmpMask
+		// ones) to keep the pre-engine RNG stream; flips outside cmpMask
 		// cannot affect the comparison.
 		for q := 0; q < c.NumQubits; q++ {
 			if rng.Float64() < noise.ReadoutError {

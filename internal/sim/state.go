@@ -125,8 +125,9 @@ func (s *State) Fidelity(o *State) float64 {
 
 // apply1q applies a 2x2 matrix to qubit q via the branch-free pair kernel:
 // 2^(n-1) compact iterations instead of a 2^n scan with skip branches. The
-// per-pair arithmetic and visit order match the legacy loop exactly, so the
-// resulting state is bit-identical (legacy_test.go enforces this).
+// per-pair arithmetic and visit order match the full-scan reference loop
+// exactly, so the resulting state is bit-identical (legacy_test.go enforces
+// this).
 func (s *State) apply1q(m gatemat.Mat2, q int) {
 	mat2Range(s.amp, m, q, 0, uint64(len(s.amp))>>1)
 }
@@ -134,7 +135,7 @@ func (s *State) apply1q(m gatemat.Mat2, q int) {
 // applyControlled1q applies a 2x2 matrix to tgt on the subspace where all
 // control qubits are |1>: 2^(n-1-controls) compact iterations. Bit sorting
 // and mask setup use stack buffers so the per-gate trajectory hot path
-// stays allocation-free, matching the legacy loops.
+// stays allocation-free.
 func (s *State) applyControlled1q(m gatemat.Mat2, controls []int, tgt int) {
 	var bitsBuf [MaxQubits + 1]int
 	var masksBuf [MaxQubits + 1]uint64
