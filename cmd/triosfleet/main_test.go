@@ -17,12 +17,21 @@ import (
 )
 
 // startBackends spins n in-process triosd-equivalent backends (the daemon's
-// own service handler over httptest) and returns their base URLs.
+// own service handler over httptest) and returns their base URLs. Cleanup
+// shuts each server down, then closes its service, so no compile worker
+// outlives the test.
 func startBackends(t *testing.T, n int) []string {
 	t.Helper()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		svc := service.New(service.Config{Workers: 2, QueueDepth: 16, CacheEntries: 64})
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			if err := svc.Close(ctx); err != nil {
+				t.Errorf("backend %d: close: %v", i, err)
+			}
+		})
 		srv := httptest.NewServer(svc.Handler())
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL

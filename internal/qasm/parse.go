@@ -144,6 +144,10 @@ func (p *parser) stmt(s []byte) error {
 			qs = append(qs, q)
 		}
 		p.qubits = qs
+		// A repeated operand would make the router's gate rebuild panic.
+		if i := circuit.FirstRepeat(qs); i >= 0 {
+			return fmt.Errorf("gate %v repeats qubit %d", circuit.Barrier, qs[i])
+		}
 		p.c.Barrier(qs...)
 		return nil
 	}

@@ -85,6 +85,13 @@ func refStmt(stmt string, c **circuit.Circuit, regName *string) error {
 			}
 			qs = append(qs, q)
 		}
+		seen := make(map[int]bool, len(qs))
+		for _, q := range qs {
+			if seen[q] {
+				return fmt.Errorf("gate %v repeats qubit %d", circuit.Barrier, q)
+			}
+			seen[q] = true
+		}
 		(*c).Append(circuit.Gate{Name: circuit.Barrier, Qubits: qs})
 		return nil
 	}

@@ -76,6 +76,7 @@ func TestStreamReaderErrors(t *testing.T) {
 		{"x q[0]; qreg q[1];", "gate before qreg"},
 		{"qreg q[2]; zz q[0];", "unknown gate"},
 		{"qreg q[2]; cx q[0], q[0];", "repeats qubit"},
+		{"qreg q[2]; barrier q[1], q[0], q[1];", "gate barrier repeats qubit 1"},
 		{"qreg q[1]; qreg p[1];", "multiple qreg"},
 	}
 	for _, tc := range cases {

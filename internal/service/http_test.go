@@ -93,6 +93,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"bad topology", `{"benchmark": "bv-20", "topology": "moebius"}`},
 		{"bad qasm", `{"qasm": "this is not qasm"}`},
 		{"optimizer field", `{"benchmark":"bv-20","optimizer":"legacy"}`},
+		{"duplicate barrier qubit", `{"qasm": "qreg q[2]; barrier q[0], q[0];", "topology": "line"}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(tc.body))
