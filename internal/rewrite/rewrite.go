@@ -5,17 +5,17 @@
 // on long cancellation chains, the engine keeps every gate in a
 // doubly-linked wire list per qubit and drives a worklist: when a rewrite
 // removes or replaces a gate, only the gates adjacent to the change are
-// re-enqueued. Each rule either
-// deletes nodes or replaces a gate in place with a gate on a subset of its
-// qubits, so the position order of surviving gates never changes and the
-// result is deterministic for a fixed rule table and pop order.
+// re-enqueued. Each rule either deletes nodes or replaces a gate in place
+// with a gate on a subset of its qubits, so the position order of surviving
+// gates never changes and the result is deterministic for a fixed rule
+// table and pop order.
 //
 // Every rule preserves the circuit's unitary exactly or up to global phase
-// (Rule.Exact distinguishes the two), so every rewrite is sim-verifiable with
-// the engine's equivalence checker, which compares up to global phase. A rewrite budget bounds total work at
-// O(gates·rules) amortized: each application strictly decreases gate count
-// or merges two gates into one, and the budget guard stops pathological rule
-// tables from cycling.
+// (Rule.Exact distinguishes the two), so every rewrite is sim-verifiable
+// with the engine's equivalence checker, which compares up to global phase.
+// A rewrite budget bounds total work at O(gates·rules) amortized: each
+// application strictly decreases gate count or merges two gates into one,
+// and the budget guard stops pathological rule tables from cycling.
 package rewrite
 
 import (

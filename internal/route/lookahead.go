@@ -118,7 +118,6 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 		winTerm  []float64 // per window entry: weight * cost at rest
 		winAt    [][]int32 // per physical qubit: window entries touching it
 		winMark  []int     // round stamp for lazily resetting winAt rows
-		touchedW []int     // qubits with live winAt rows this round
 		winRound int
 	)
 	if deltaOK {
@@ -304,7 +303,6 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 			// the entries by the physical qubits they touch, and sum the
 			// at-rest score in window order.
 			winRound++
-			touchedW = touchedW[:0]
 			if cap(winTerm) < len(win) {
 				winTerm = make([]float64, len(win))
 			}
@@ -334,7 +332,6 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 					if winMark[q] != winRound {
 						winMark[q] = winRound
 						winAt[q] = winAt[q][:0]
-						touchedW = append(touchedW, q)
 					}
 					winAt[q] = append(winAt[q], int32(wi))
 				}
