@@ -70,7 +70,8 @@ func compareMask(c *circuit.Circuit, expectMask uint64) (uint64, error) {
 // stream is unchanged from the pre-engine implementation, so for any fixed
 // seed the results are bit-identical whenever the compared qubit set is
 // unchanged — circuits without Measure gates, or with every compared qubit
-// measured (TestMonteCarloBitIdenticalToLegacy). Partially-measured
+// measured (a test holds it to the pre-engine loop, kept as a test
+// reference). Partially-measured
 // circuits whose expectMask covered unmeasured qubits previously compared
 // those qubits too; that was the documented-vs-actual mismatch this
 // restriction deliberately fixes. Engine.MonteCarlo runs the same model
