@@ -17,7 +17,7 @@ test:
 # fleet proxy's routing/health paths, and the triosd and triosfleet daemons
 # end to end (start, serve, trace, drain, warm restart).
 race:
-	$(GO) test -race ./internal/compiler/... ./internal/route/... ./internal/topo/... ./internal/sim/... ./internal/stab/... ./internal/service/... ./internal/device/... ./internal/store/... ./internal/fleet/... ./internal/experiments/... ./internal/rewrite/... ./internal/template/... ./internal/obs/... ./internal/stream/... ./internal/qasm/... ./cmd/triosd/... ./cmd/triosfleet/...
+	$(GO) test -race ./internal/compiler/... ./internal/route/... ./internal/topo/... ./internal/sim/... ./internal/stab/... ./internal/service/... ./internal/device/... ./internal/store/... ./internal/fleet/... ./internal/experiments/... ./internal/rewrite/... ./internal/obs/... ./internal/stream/... ./internal/qasm/... ./cmd/triosd/... ./cmd/triosfleet/...
 
 # Bench smoke: run every Go benchmark exactly once in short mode so the
 # compile-path benchmarks cannot silently rot. Not a timing run: performance

@@ -50,16 +50,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"trios/internal/compiler"
 	"trios/internal/obs"
 	"trios/internal/service"
 	"trios/internal/store"
-	"trios/internal/template"
-	"trios/internal/topo"
 	"trios/internal/version"
 )
 
@@ -89,8 +85,6 @@ type serveConfig struct {
 	storeDir      string
 	storeMaxBytes int64
 	streamWindow  int
-	templates     bool
-	templateWarm  string
 	grace         time.Duration
 
 	logger *obs.Logger
@@ -119,8 +113,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 		storeDir      = fs.String("store-dir", "", "persistent artifact store directory ('' = memory-only; restarts are cold)")
 		storeMaxBytes = fs.Int64("store-max-bytes", store.DefaultMaxBytes, "artifact store byte budget; LRU entries beyond it are evicted")
 		streamWindow  = fs.Int("stream-window", 0, "default gate-window size for /v1/compile/stream (0 = built-in default; requests may override with ?window=N)")
-		templates     = fs.Bool("templates", false, "precompile the template library at startup and serve or stitch matching requests from fragments")
-		templateWarm  = fs.String("template-warm", "johannesburg", "comma-separated topologies to warm template fragments for (with -templates)")
 		grace         = fs.Duration("grace", 15*time.Second, "graceful-drain deadline on shutdown")
 		trace         = fs.Bool("trace", true, "record request span trees, served at /debug/traces")
 		logLevel      = fs.String("log-level", "info", "log level: debug, info, warn, error")
@@ -156,8 +148,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 		storeDir:      *storeDir,
 		storeMaxBytes: *storeMaxBytes,
 		streamWindow:  *streamWindow,
-		templates:     *templates,
-		templateWarm:  *templateWarm,
 		grace:         *grace,
 		logger:        obs.NewLogger(os.Stderr, level, format),
 		ready:         ready,
@@ -182,22 +172,12 @@ func serve(ctx context.Context, cfg serveConfig) error {
 			cfg.storeDir, stats.Entries, stats.Bytes, stats.Rebuilt))
 		defer st.Close() // persist the recency index on every exit path
 	}
-	var tmpl *template.Store
-	if cfg.templates {
-		lib, err := template.DefaultLibrary()
-		if err != nil {
-			return err
-		}
-		tmpl = template.NewStore(lib)
-		logger.Info(fmt.Sprintf("triosd template library: %d templates (digest %.12s)", lib.Len(), lib.Digest()))
-	}
 	svc := service.New(service.Config{
 		Workers:      cfg.workers,
 		QueueDepth:   cfg.queue,
 		CacheEntries: cfg.cacheSize,
 		StreamWindow: cfg.streamWindow,
 		Store:        st,
-		Templates:    tmpl,
 		Tracer:       cfg.tracer,
 		Logger:       logger,
 	})
@@ -267,12 +247,6 @@ func serve(ctx context.Context, cfg serveConfig) error {
 		}()
 	}
 
-	if tmpl != nil {
-		// Warm fragments off the serving path: requests that arrive before a
-		// fragment lands simply compile through the full pipeline (a miss).
-		go warmTemplates(ctx, tmpl, cfg.templateWarm, logger)
-	}
-
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
@@ -300,43 +274,4 @@ func serve(ctx context.Context, cfg serveConfig) error {
 	}
 	logger.Info("triosd stopped")
 	return nil
-}
-
-// warmTemplates precompiles the template library for each named topology
-// under the daemon's default request options — both the plain and the
-// -optimize variant, so requests at either setting hit warmed fragments.
-// Warmup runs in the background and quits quietly on shutdown.
-func warmTemplates(ctx context.Context, tmpl *template.Store, topos string, logger *obs.Logger) {
-	defs, err := service.DefaultCompileOptions()
-	if err != nil {
-		logger.Warn(fmt.Sprintf("triosd template warmup: %v", err))
-		return
-	}
-	optimized := defs
-	optimized.Optimize = true
-	start := time.Now()
-	total := 0
-	for _, name := range strings.Split(topos, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		g, err := topo.ByName(name)
-		if err != nil {
-			logger.Warn(fmt.Sprintf("triosd template warmup: %v", err))
-			continue
-		}
-		g.EnsureOracle()
-		for _, o := range []compiler.Options{defs, optimized} {
-			n, err := tmpl.Precompile(ctx, g, o)
-			total += n
-			if err != nil {
-				if ctx.Err() != nil {
-					return // shutting down mid-warmup; not an error
-				}
-				logger.Warn(fmt.Sprintf("triosd template warmup %s: %v", name, err))
-			}
-		}
-	}
-	logger.Info(fmt.Sprintf("triosd template warmup done: %d fragments in %s", total, time.Since(start).Round(time.Millisecond)))
 }

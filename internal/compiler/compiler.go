@@ -128,28 +128,6 @@ type Options struct {
 	// identical output) while still reporting calibrated fidelity stats —
 	// the control arm of every noise-aware comparison.
 	CostModel device.CostModel
-	// Templates, when non-nil, is consulted before the pipeline runs: a
-	// source holding precompiled fragments for this (input, device, option)
-	// combination can serve or stitch the result without paying the full
-	// pipeline (see internal/template). The library's content digest is part
-	// of CacheKey, so stitched artifacts can never alias full-pipeline ones
-	// compiled without the library.
-	Templates TemplateSource
-}
-
-// TemplateSource serves precompiled template fragments. The interface lives
-// in the compiler so the template package depends on the compiler, not the
-// other way around.
-type TemplateSource interface {
-	// Digest identifies the library content and fragment policy; it is
-	// folded into Options.CacheKey so artifact stores never alias stitched
-	// and unstitched compiles.
-	Digest() string
-	// Stitch attempts to produce the compiled result for input from
-	// precompiled fragments. The opts it receives have Templates already
-	// stripped (so fragment and suffix compiles cannot recurse). ok=false
-	// means no fragment applies and the caller runs the full pipeline.
-	Stitch(ctx context.Context, input *circuit.Circuit, g *topo.Graph, opts Options) (*Result, bool, error)
 }
 
 // costModel resolves the effective cost model: an explicit CostModel wins,

@@ -149,11 +149,5 @@ func (o Options) CacheKey() string {
 	} else {
 		b.WriteString(o.Calibration.Digest())
 	}
-	b.WriteString(";templates=")
-	if o.Templates == nil {
-		b.WriteString("none")
-	} else {
-		b.WriteString(o.Templates.Digest())
-	}
 	return b.String()
 }

@@ -655,22 +655,6 @@ func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, front
 	if err != nil {
 		return nil, err
 	}
-	// Template fast path: a source holding a precompiled fragment for this
-	// exact (input, device, options) serves it without running the pipeline;
-	// a partial match stitches the fragment to a suffix compile. Templates is
-	// stripped from the options handed down so fragment and suffix compiles
-	// can never recurse into the source.
-	if opts.Templates != nil {
-		sub := opts
-		sub.Templates = nil
-		res, ok, terr := opts.Templates.Stitch(stdctx, input, g, sub)
-		if terr != nil {
-			return nil, terr
-		}
-		if ok {
-			return res, nil
-		}
-	}
 	ctx := &PassContext{Ctx: stdctx, Graph: g, Opts: opts, Cost: cm}
 	if prepared != nil {
 		ctx.Circuit = prepared

@@ -57,11 +57,10 @@ type StreamResult struct {
 // StreamCompile compiles QASM from src to dst in bounded gate windows.
 // Restrictions vs Compile: only the Conventional and Trios pipelines with
 // the direct router are streamable (stochastic/lookahead routing and group
-// clustering are layer-based and need the whole circuit); templates are
-// bypassed (fragment matching needs the whole input); no fidelity estimate
-// is computed (it is a whole-circuit property). Greedy placement sees only
-// the first window's interaction graph. Per-window trace spans are
-// recorded under the span in ctx, if any.
+// clustering are layer-based and need the whole circuit); no fidelity
+// estimate is computed (it is a whole-circuit property). Greedy placement
+// sees only the first window's interaction graph. Per-window trace spans
+// are recorded under the span in ctx, if any.
 func StreamCompile(ctx context.Context, src io.Reader, dst io.Writer, g *topo.Graph, opts StreamOptions) (*StreamResult, error) {
 	if opts.Pipeline != Conventional && opts.Pipeline != TriosPipeline {
 		return nil, fmt.Errorf("compiler: pipeline %v is not streamable; use Compile", opts.Pipeline)

@@ -12,7 +12,6 @@ import (
 	"trios/internal/device"
 	"trios/internal/obs"
 	"trios/internal/store"
-	"trios/internal/template"
 	"trios/internal/topo"
 	"trios/internal/version"
 )
@@ -125,11 +124,6 @@ func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span := obs.SpanFromContext(r.Context())
-	if s.cfg.Templates != nil {
-		tspan := span.Child("template:attach")
-		spec.AttachTemplates(s.cfg.Templates)
-		tspan.End()
-	}
 	art, outcome, err := s.Compile(r.Context(), spec)
 	if err != nil {
 		// Request-shape problems were all caught by Resolve above; Compile
@@ -233,9 +227,6 @@ type healthBody struct {
 	// Store summarizes the persistent artifact tier; omitted when the daemon
 	// runs memory-only.
 	Store *storeHealth `json:"store,omitempty"`
-	// Templates summarizes the template fragment store; omitted when the
-	// daemon runs without template compilation.
-	Templates *templateHealth `json:"templates,omitempty"`
 }
 
 // storeHealth is the /healthz view of the persistent artifact store.
@@ -245,15 +236,6 @@ type storeHealth struct {
 	Hits        uint64 `json:"hits"`
 	Quarantined uint64 `json:"quarantined"`
 	Rebuilt     bool   `json:"rebuilt"`
-}
-
-// templateHealth is the /healthz view of the template fragment store.
-type templateHealth struct {
-	LibrarySize int    `json:"library_size"`
-	Fragments   int    `json:"fragments"`
-	Hits        uint64 `json:"hits"`
-	Stitched    uint64 `json:"stitched"`
-	Misses      uint64 `json:"misses"`
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -279,16 +261,6 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Rebuilt:     st.Rebuilt,
 		}
 	}
-	if ts := s.cfg.Templates; ts != nil {
-		st := ts.Stats()
-		body.Templates = &templateHealth{
-			LibrarySize: ts.Library().Len(),
-			Fragments:   st.Fragments,
-			Hits:        st.Hits,
-			Stitched:    st.Stitched,
-			Misses:      st.Misses,
-		}
-	}
 	code := http.StatusOK
 	if s.Draining() {
 		body.Status = "draining"
@@ -305,11 +277,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st := s.store.Stats()
 		storeStats = &st
 	}
-	var tmplStats *template.Stats
-	if s.cfg.Templates != nil {
-		st := s.cfg.Templates.Stats()
-		tmplStats = &st
-	}
-	s.metrics.write(w, s.cache.Stats(), storeStats, tmplStats, qlen, qcap)
+	s.metrics.write(w, s.cache.Stats(), storeStats, qlen, qcap)
 	obs.WriteRuntimeMetrics(w)
 }

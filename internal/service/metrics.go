@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"trios/internal/store"
-	"trios/internal/template"
 )
 
 // defaultBuckets are latency histogram upper bounds in seconds, spanning
@@ -170,10 +169,10 @@ func (m *metrics) observePasses(a *Artifact) {
 }
 
 // write renders every counter in Prometheus text exposition format. The
-// cache, store, template, and queue gauges come from the caller so the
-// metrics type stays decoupled from the service internals; storeStats and
-// tmplStats are nil when the daemon runs without those tiers.
-func (m *metrics) write(w io.Writer, cache CacheStats, storeStats *store.Stats, tmplStats *template.Stats, queueLen, queueCap int) {
+// cache, store, and queue gauges come from the caller so the metrics type
+// stays decoupled from the service internals; storeStats is nil when the
+// daemon runs memory-only.
+func (m *metrics) write(w io.Writer, cache CacheStats, storeStats *store.Stats, queueLen, queueCap int) {
 	fmt.Fprintf(w, "# TYPE triosd_uptime_seconds gauge\ntriosd_uptime_seconds %g\n", time.Since(m.start).Seconds())
 	fmt.Fprintf(w, "# TYPE triosd_in_flight_requests gauge\ntriosd_in_flight_requests %d\n", m.inFlight.Load())
 	fmt.Fprintf(w, "# TYPE triosd_queue_depth gauge\ntriosd_queue_depth %d\n", queueLen)
@@ -239,13 +238,6 @@ func (m *metrics) write(w io.Writer, cache CacheStats, storeStats *store.Stats, 
 		fmt.Fprintf(w, "# TYPE triosd_store_write_errors_total counter\ntriosd_store_write_errors_total %d\n", m.storeWriteErrors)
 		fmt.Fprintf(w, "# TYPE triosd_store_decode_errors_total counter\ntriosd_store_decode_errors_total %d\n", m.storeDecodeErrors)
 		m.mu.Unlock()
-	}
-
-	if tmplStats != nil {
-		fmt.Fprintf(w, "# TYPE triosd_template_hits_total counter\ntriosd_template_hits_total %d\n", tmplStats.Hits)
-		fmt.Fprintf(w, "# TYPE triosd_template_stitched_total counter\ntriosd_template_stitched_total %d\n", tmplStats.Stitched)
-		fmt.Fprintf(w, "# TYPE triosd_template_misses_total counter\ntriosd_template_misses_total %d\n", tmplStats.Misses)
-		fmt.Fprintf(w, "# TYPE triosd_template_fragments gauge\ntriosd_template_fragments %d\n", tmplStats.Fragments)
 	}
 
 	fmt.Fprintf(w, "# TYPE triosd_http_seconds histogram\n")

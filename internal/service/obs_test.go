@@ -213,8 +213,8 @@ func TestTracingOffIsInert(t *testing.T) {
 }
 
 // TestMetricsExpositionLints scrapes /metrics after real traffic (a miss, a
-// hit, and store + template tiers active) and runs the exposition linter over
-// the full output, runtime metrics included.
+// hit, and the store tier active) and runs the exposition linter over the
+// full output, runtime metrics included.
 func TestMetricsExpositionLints(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, 0)

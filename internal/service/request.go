@@ -117,9 +117,8 @@ func Resolve(req CompileRequest) (*JobSpec, error) {
 }
 
 // specKey is the artifact content address: "sha256:<hex>" over the canonical
-// QASM, device name, and option fingerprint. The option fingerprint includes
-// the template-library digest, so template-stitched artifacts never alias
-// artifacts compiled without the library.
+// QASM, device name, and option fingerprint (Options.CacheKey), so two
+// requests share an artifact exactly when they compile to the same bytes.
 func specKey(canon string, g *topo.Graph, opts compiler.Options) string {
 	h := sha256.New()
 	h.Write([]byte(canon))
@@ -128,15 +127,6 @@ func specKey(canon string, g *topo.Graph, opts compiler.Options) string {
 	h.Write([]byte{0})
 	h.Write([]byte(opts.CacheKey()))
 	return "sha256:" + hex.EncodeToString(h.Sum(nil))
-}
-
-// AttachTemplates wires a template source into a resolved spec and recomputes
-// the content address (the library digest is part of the option fingerprint).
-// The daemon calls this after Resolve for every request when it was started
-// with a warmed template store.
-func (spec *JobSpec) AttachTemplates(ts compiler.TemplateSource) {
-	spec.Opts.Templates = ts
-	spec.Key = specKey(spec.CanonicalQASM, spec.Graph, spec.Opts)
 }
 
 func resolveInput(req CompileRequest) (*circuit.Circuit, error) {
@@ -193,9 +183,8 @@ func resolveOptions(req CompileRequest) (compiler.Options, error) {
 }
 
 // DefaultCompileOptions returns the options an all-defaults wire request
-// resolves to (trios pipeline, direct router, greedy placement, seed 1). The
-// daemon warms template fragments under exactly these options so default
-// requests hit warmed fragments.
+// resolves to (trios pipeline, direct router, greedy placement, seed 1), so
+// an in-process caller can compile exactly what a default request would.
 func DefaultCompileOptions() (compiler.Options, error) {
 	return resolveOptions(CompileRequest{})
 }

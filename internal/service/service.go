@@ -14,7 +14,6 @@ import (
 	"trios/internal/obs"
 	"trios/internal/qasm"
 	"trios/internal/store"
-	"trios/internal/template"
 )
 
 // Config sizes the service.
@@ -34,12 +33,6 @@ type Config struct {
 	// the store for the daemon's lifetime; closing it remains the opener's
 	// job, after Close returns.
 	Store *store.Store
-	// Templates, when non-nil, is attached to every resolved request: inputs
-	// that match a warmed template fragment are served or stitched instead of
-	// running the full pipeline. The library digest is folded into every
-	// artifact key, so enabling or swapping the library never aliases cached
-	// artifacts compiled without it.
-	Templates *template.Store
 	// StreamWindow is the default gate-window size for POST
 	// /v1/compile/stream (requests may override per-call with ?window=N;
 	// <= 0 means stream.DefaultWindow).
@@ -445,9 +438,6 @@ func (s *Service) writeThrough(it storeItem) {
 
 // Store exposes the persistent tier (nil when the daemon runs memory-only).
 func (s *Service) Store() *store.Store { return s.store }
-
-// Templates exposes the template store (nil when templates are disabled).
-func (s *Service) Templates() *template.Store { return s.cfg.Templates }
 
 // Workers returns the resolved compile-worker count.
 func (s *Service) Workers() int { return s.workers }

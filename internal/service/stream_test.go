@@ -190,7 +190,7 @@ func TestStreamMetricsExposition(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	var buf bytes.Buffer
-	s.metrics.write(&buf, s.cache.Stats(), nil, nil, 0, 0)
+	s.metrics.write(&buf, s.cache.Stats(), nil, 0, 0)
 	out := buf.String()
 	for _, want := range []string{
 		`triosd_stream_total{outcome="ok"} 1`,
