@@ -239,24 +239,3 @@ func TestTriosNeverLosesOnGateCount(t *testing.T) {
 		}
 	}
 }
-
-// TestSerializationOverheadComputable runs the crosstalk scheduler over a
-// compiled benchmark as a smoke-level contract for the sched extension.
-func TestSerializationOverheadComputable(t *testing.T) {
-	src, err := benchmarks.CnXDirty(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := topo.Johannesburg()
-	res, err := compiler.Compile(src, g, compiler.Options{Pipeline: compiler.TriosPipeline, Placement: compiler.PlaceGreedy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio, err := sched.SerializationOverhead(res.Physical, sched.JohannesburgTimes(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio < 1 {
-		t.Errorf("serialization overhead %v < 1", ratio)
-	}
-}

@@ -77,44 +77,3 @@ func (d *DAG) Layers() [][]int {
 	}
 	return layers
 }
-
-// FrontLayer returns the indices of gates with no predecessors.
-func (d *DAG) FrontLayer() []int {
-	var front []int
-	for i := range d.Preds {
-		if len(d.Preds[i]) == 0 {
-			front = append(front, i)
-		}
-	}
-	return front
-}
-
-// TopologicalOrder returns gate indices in a valid execution order.
-// For circuits built in program order this is simply 0..n-1; the method
-// exists so passes that permute gates can re-linearize.
-func (d *DAG) TopologicalOrder() []int {
-	n := len(d.Preds)
-	indeg := make([]int, n)
-	for i := range d.Preds {
-		indeg[i] = len(d.Preds[i])
-	}
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		order = append(order, i)
-		for _, s := range d.Succs[i] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	return order
-}

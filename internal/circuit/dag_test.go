@@ -1,10 +1,6 @@
 package circuit
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestDAGDeps(t *testing.T) {
 	c := New(3)
@@ -37,16 +33,6 @@ func TestDAGNoDuplicatePreds(t *testing.T) {
 	}
 }
 
-func TestFrontLayer(t *testing.T) {
-	c := New(4)
-	c.H(0).H(1).CX(0, 1).H(3)
-	d := BuildDAG(c)
-	front := d.FrontLayer()
-	if len(front) != 3 { // h0, h1, h3
-		t.Errorf("front = %v", front)
-	}
-}
-
 func TestLayersRespectDependencies(t *testing.T) {
 	c := New(3)
 	c.H(0).CX(0, 1).CX(1, 2).H(0)
@@ -69,33 +55,6 @@ func TestLayersRespectDependencies(t *testing.T) {
 				t.Errorf("gate %d at layer %d not after pred %d at layer %d", gi, pos[gi], p, pos[p])
 			}
 		}
-	}
-}
-
-func TestTopologicalOrderIsValid(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := randomCircuit(rng, 5, 30)
-		d := BuildDAG(c)
-		order := d.TopologicalOrder()
-		if len(order) != len(c.Gates) {
-			return false
-		}
-		pos := make([]int, len(order))
-		for i, g := range order {
-			pos[g] = i
-		}
-		for gi, preds := range d.Preds {
-			for _, p := range preds {
-				if pos[p] >= pos[gi] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }
 

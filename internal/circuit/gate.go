@@ -225,9 +225,6 @@ func FirstRepeat(qs []int) int {
 	return first
 }
 
-// Arity returns the number of qubits this gate instance acts on.
-func (g Gate) Arity() int { return len(g.Qubits) }
-
 // IsTwoQubit reports whether the gate is a two-qubit entangling operation.
 // SWAP counts as two-qubit; it later decomposes into 3 CX.
 func (g Gate) IsTwoQubit() bool {
@@ -247,21 +244,6 @@ func (g Gate) Target() int { return g.Qubits[len(g.Qubits)-1] }
 
 // Controls returns the control qubits of a controlled gate (all but the last).
 func (g Gate) Controls() []int { return g.Qubits[:len(g.Qubits)-1] }
-
-// On returns a copy of the gate acting on different qubits, used when
-// remapping logical to physical indices.
-func (g Gate) On(qubits ...int) Gate {
-	return NewGate(g.Name, qubits, g.Params...)
-}
-
-// Remap returns a copy of the gate with every qubit q replaced by f(q).
-func (g Gate) Remap(f func(int) int) Gate {
-	q := make([]int, len(g.Qubits))
-	for i, v := range g.Qubits {
-		q[i] = f(v)
-	}
-	return NewGate(g.Name, q, g.Params...)
-}
 
 // Inverse returns the adjoint of the gate. Pseudo-ops are returned unchanged.
 func (g Gate) Inverse() Gate {

@@ -70,16 +70,6 @@ func TestGateAccessors(t *testing.T) {
 	if c := g.Controls(); len(c) != 2 || c[0] != 4 || c[1] != 7 {
 		t.Errorf("Controls = %v", c)
 	}
-	if g.Arity() != 3 {
-		t.Errorf("Arity = %d", g.Arity())
-	}
-	if !g.On(0, 1, 2).Equal(NewGate(CCX, []int{0, 1, 2})) {
-		t.Error("On() produced wrong gate")
-	}
-	re := g.Remap(func(q int) int { return q + 10 })
-	if !re.Equal(NewGate(CCX, []int{14, 17, 12})) {
-		t.Errorf("Remap = %v", re)
-	}
 }
 
 func TestIsTwoQubit(t *testing.T) {

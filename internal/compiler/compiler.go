@@ -163,9 +163,6 @@ type Result struct {
 	// pipeline that produced this result. Cached front passes contribute
 	// the metrics of the run that populated the cache.
 	Passes []PassMetric
-	// ScheduledDuration is non-zero when the pipeline included a Schedule
-	// pass: the ASAP duration of the compiled circuit.
-	ScheduledDuration float64
 	// CostModel names the cost model that drove layout and routing
 	// ("uniform" or "noise:<calibration>").
 	CostModel string
@@ -186,14 +183,6 @@ func (r *Result) TwoQubitGates() int { return r.Physical.TwoQubitCount() }
 // stage's wall-clock and gate-count deltas land in Result.Passes.
 func Compile(input *circuit.Circuit, g *topo.Graph, opts Options) (*Result, error) {
 	return compileFrom(context.Background(), input, nil, nil, g, opts)
-}
-
-// CompileContext is Compile with cancellation: the pipeline checks ctx
-// between passes and aborts with the context's error instead of starting the
-// next stage. The serving layer uses it so a draining daemon stops burning
-// CPU on compilations whose results nobody will read.
-func CompileContext(ctx context.Context, input *circuit.Circuit, g *topo.Graph, opts Options) (*Result, error) {
-	return compileFrom(ctx, input, nil, nil, g, opts)
 }
 
 func initialLayout(c *circuit.Circuit, g *topo.Graph, opts Options, cm device.CostModel) (*layout.Layout, error) {

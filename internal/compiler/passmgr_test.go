@@ -6,7 +6,6 @@ import (
 
 	"trios/internal/benchmarks"
 	"trios/internal/decompose"
-	"trios/internal/sched"
 	"trios/internal/topo"
 )
 
@@ -150,10 +149,10 @@ func TestUnknownPipelineAndMode(t *testing.T) {
 	}
 }
 
-// TestSchedulePassComposes runs a custom pipeline that appends the Schedule
-// pass and checks it records a positive duration without altering the
-// compiled circuit.
-func TestSchedulePassComposes(t *testing.T) {
+// TestPipelinePassesReproduceCompile runs PipelinePasses through a fresh
+// PassManager, as a caller timing the passes one by one does, and checks
+// that it compiles to Compile's circuit.
+func TestPipelinePassesReproduceCompile(t *testing.T) {
 	b, _ := benchmarks.ByName("grovers-9")
 	c, err := b.Build()
 	if err != nil {
@@ -169,15 +168,11 @@ func TestSchedulePassComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	passes = append(passes, SchedulePass(sched.JohannesburgTimes()))
 	ctx := &PassContext{Graph: g, Opts: opts, Circuit: c}
 	if err := NewPassManager("custom", passes...).Run(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if !ctx.Circuit.Equal(base.Physical) {
-		t.Fatal("schedule pass changed the compiled circuit")
-	}
-	if ctx.ScheduledDuration <= 0 {
-		t.Fatalf("scheduled duration = %v, want > 0", ctx.ScheduledDuration)
+		t.Fatal("running PipelinePasses by hand compiled a different circuit")
 	}
 }

@@ -92,6 +92,8 @@ func TestParseHelpersRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompileContextCancelled checks that the pipeline the batch engine
+// runs stops at a pass boundary once its context is cancelled.
 func TestCompileContextCancelled(t *testing.T) {
 	b, err := benchmarks.ByName("grovers-9")
 	if err != nil {
@@ -103,7 +105,7 @@ func TestCompileContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = CompileContext(ctx, input, topo.Johannesburg(), Options{Pipeline: TriosPipeline, Placement: PlaceGreedy, Seed: 1})
+	_, err = compileFrom(ctx, input, nil, nil, topo.Johannesburg(), Options{Pipeline: TriosPipeline, Placement: PlaceGreedy, Seed: 1})
 	if err == nil {
 		t.Fatal("expected cancellation error")
 	}

@@ -1,6 +1,8 @@
 package decompose
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"trios/internal/circuit"
@@ -103,9 +105,11 @@ func TestMCXCleanRPExactlyEqualsMCX(t *testing.T) {
 		// Clean-ancilla constructions agree only on the ancilla=|0>
 		// subspace; compare embedded states with ancillas zeroed.
 		for trial := 0; trial < 3; trial++ {
-			in := sim.NewRandomState(nc+1, int64(trial)) // controls + target
 			place := append(append([]int{}, controls...), target)
-			sa := embedAt(in, n, place)
+			sa, err := randomStateOn(n, place, int64(trial))
+			if err != nil {
+				t.Fatal(err)
+			}
 			sb := sa.Copy()
 			if err := sa.ApplyCircuit(rp); err != nil {
 				t.Fatal(err)
@@ -154,20 +158,22 @@ func TestMappingAwareLowersRCCX(t *testing.T) {
 	}
 }
 
-// embedAt places the k-qubit state's qubit i at position place[i] of an
-// n-qubit register (others |0>).
-func embedAt(s *sim.State, n int, place []int) *sim.State {
-	outAmps := make([]complex128, 1<<uint(n))
-	for i := uint64(0); i < 1<<uint(s.NumQubits()); i++ {
-		var j uint64
-		for q := 0; q < s.NumQubits(); q++ {
-			if i&(1<<uint(q)) != 0 {
-				j |= 1 << uint(place[q])
-			}
+// randomStateOn prepares a seeded random entangled state on the qubits in
+// place of an n-qubit register, leaving every other qubit |0>: three
+// layers of random u3 rotations, each followed by a CX chain along place.
+func randomStateOn(n int, place []int, seed int64) (*sim.State, error) {
+	rng := rand.New(rand.NewSource(seed))
+	prep := circuit.New(n)
+	for layer := 0; layer < 3; layer++ {
+		for _, q := range place {
+			prep.U3(math.Pi*rng.Float64(), 2*math.Pi*rng.Float64(), 2*math.Pi*rng.Float64(), q)
 		}
-		outAmps[j] = s.Amplitude(i)
+		for i := 1; i < len(place); i++ {
+			prep.CX(place[i-1], place[i])
+		}
 	}
-	return sim.FromAmplitudes(n, outAmps)
+	s := sim.NewState(n)
+	return s, s.ApplyCircuit(prep)
 }
 
 func seqInts(start, count int) []int {

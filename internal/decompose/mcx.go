@@ -155,18 +155,3 @@ func MCXCleanRP(out *circuit.Circuit, controls []int, target int, clean []int) e
 	out.RCCXdg(controls[0], controls[1], a[0])
 	return nil
 }
-
-// MCXAuto appends an MCX decomposition choosing the cheapest strategy the
-// ancilla budget allows: clean ancillas if provided, otherwise dirty V-chain,
-// otherwise the recursive borrowed-bit split.
-func MCXAuto(out *circuit.Circuit, controls []int, target int, clean, dirty []int) error {
-	n := len(controls)
-	if n <= 2 {
-		return MCXDirty(out, controls, target, nil)
-	}
-	if len(clean) >= n-2 {
-		return MCXClean(out, controls, target, clean)
-	}
-	all := append(append([]int{}, clean...), dirty...)
-	return MCXBorrowed(out, controls, target, all)
-}

@@ -172,27 +172,6 @@ func TestMCXBorrowedNoBitFails(t *testing.T) {
 	}
 }
 
-func TestMCXAutoPrefersClean(t *testing.T) {
-	controls := []int{0, 1, 2, 3}
-	dec := circuit.New(8)
-	if err := MCXAuto(dec, controls, 7, []int{4, 5}, []int{6}); err != nil {
-		t.Fatal(err)
-	}
-	// Clean ladder: 2n-3 = 5 toffolis (dirty would be 4(n-2) = 8).
-	if got := dec.CountName(circuit.CCX); got != 5 {
-		t.Errorf("auto used %d toffolis, want 5 (clean ladder)", got)
-	}
-}
-
-func TestMCXAutoFallsBackToDirty(t *testing.T) {
-	controls := []int{0, 1, 2, 3}
-	dec := circuit.New(7)
-	if err := MCXAuto(dec, controls, 6, nil, []int{4, 5}); err != nil {
-		t.Fatal(err)
-	}
-	checkClassicalEqual(t, "auto dirty", refMCX(7, controls, 6), dec)
-}
-
 func TestMCXRandomWireAssignments(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {

@@ -104,12 +104,6 @@ func (c *Calibration) MeanT1() float64 { return mean(c.T1) }
 // MeanT2 returns the device-average dephasing time.
 func (c *Calibration) MeanT2() float64 { return mean(c.T2) }
 
-// MeanOneQubitError returns the device-average one-qubit gate error.
-func (c *Calibration) MeanOneQubitError() float64 { return mean(c.OneQubitError) }
-
-// MeanReadoutError returns the device-average measurement error.
-func (c *Calibration) MeanReadoutError() float64 { return mean(c.ReadoutError) }
-
 // MeanTwoQubitError returns the device-average CNOT error.
 func (c *Calibration) MeanTwoQubitError() float64 {
 	if len(c.TwoQubitError) == 0 {

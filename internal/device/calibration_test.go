@@ -23,8 +23,8 @@ func TestFlatMatchesJohannesburgConstants(t *testing.T) {
 	if !near(c.MeanT1(), 70.87) || !near(c.MeanT2(), 72.72) {
 		t.Errorf("mean T1/T2 = %v/%v", c.MeanT1(), c.MeanT2())
 	}
-	if !near(c.MeanOneQubitError(), 0.0004) || !near(c.MeanTwoQubitError(), 0.0147) || !near(c.MeanReadoutError(), 0.03) {
-		t.Errorf("mean errors = %v/%v/%v", c.MeanOneQubitError(), c.MeanTwoQubitError(), c.MeanReadoutError())
+	if !near(mean(c.OneQubitError), 0.0004) || !near(c.MeanTwoQubitError(), 0.0147) || !near(mean(c.ReadoutError), 0.03) {
+		t.Errorf("mean errors = %v/%v/%v", mean(c.OneQubitError), c.MeanTwoQubitError(), mean(c.ReadoutError))
 	}
 	if c.Times != sched.JohannesburgTimes() {
 		t.Errorf("times = %+v", c.Times)

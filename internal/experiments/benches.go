@@ -37,17 +37,6 @@ type CompiledPair struct {
 	Trios     *compiler.Result
 }
 
-// CompileBenchmark compiles one benchmark with both pipelines on a topology
-// using the paper's setup: greedy initial placement and the default Toffoli
-// modes (6-CNOT for the baseline, mapping-aware for Trios).
-func CompileBenchmark(b benchmarks.Benchmark, g *topo.Graph, seed int64) (*CompiledPair, error) {
-	pairs, err := compilePairs([]benchmarks.Benchmark{b}, []*topo.Graph{g}, seed)
-	if err != nil {
-		return nil, err
-	}
-	return pairs[0], nil
-}
-
 // pairOptions is the era-faithful configuration the paper compiled with:
 // Qiskit 0.14's defaults were TrivialLayout (identity placement) plus
 // StochasticSwap; the paper's Trios implementation grafts trio routing onto

@@ -112,11 +112,11 @@ func TestGeoMean(t *testing.T) {
 
 func TestCompileBenchmarkAndEvaluate(t *testing.T) {
 	b := mustBench(t, "cnx_dirty-11")
-	p, err := CompileBenchmark(b, topo.Grid5x4(), 4)
+	pairs, err := compilePairs([]benchmarks.Benchmark{b}, []*topo.Graph{topo.Grid5x4()}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Evaluate(DefaultModel())
+	r, err := pairs[0].Evaluate(DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestCompileBenchmarkAndEvaluate(t *testing.T) {
 
 func TestToffoliFreeBenchmarkNeutral(t *testing.T) {
 	b := mustBench(t, "bv-20")
-	p, err := CompileBenchmark(b, topo.Johannesburg(), 4)
+	pairs, err := compilePairs([]benchmarks.Benchmark{b}, []*topo.Graph{topo.Johannesburg()}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Evaluate(DefaultModel())
+	r, err := pairs[0].Evaluate(DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestReportWritersProduceOutput(t *testing.T) {
 	WriteFig8(&sb, rs)
 
 	b := mustBench(t, "cnx_inplace-4")
-	p, err := CompileBenchmark(b, topo.Line20(), 2)
+	pairs, err := compilePairs([]benchmarks.Benchmark{b}, []*topo.Graph{topo.Line20()}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	br, err := p.Evaluate(DefaultModel())
+	br, err := pairs[0].Evaluate(DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,17 +44,3 @@ func PaperTriplets() [][3]int {
 		{17, 16, 18}, // 2
 	}
 }
-
-// PaperTripletDistances returns the distance labels printed under each
-// triple in Figures 6 and 7, aligned with PaperTriplets.
-func PaperTripletDistances() []int {
-	return []int{
-		10, 10, 9, 9, 9,
-		8, 8, 8, 8, 8,
-		7, 7, 7, 7, 7,
-		6, 6, 6, 6, 6,
-		5, 5, 5, 5, 5,
-		4, 4, 4, 4, 4,
-		3, 3, 3, 2, 2,
-	}
-}

@@ -87,12 +87,6 @@ func NewProxy(replicas []Replica, opts Options) *Proxy {
 // Run drives the health poller until ctx is cancelled.
 func (p *Proxy) Run(ctx context.Context) { p.health.Run(ctx) }
 
-// Health exposes the checker (tests, health endpoint).
-func (p *Proxy) Health() *HealthChecker { return p.health }
-
-// Ring exposes the hash ring (tests).
-func (p *Proxy) Ring() *Ring { return p.ring }
-
 // Handler returns the proxy's HTTP surface:
 //
 //	POST /v1/compile       — route by cache key to the home replica, with failover
@@ -331,9 +325,6 @@ func (p *Proxy) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE triosfleet_keycache_misses_total counter\ntriosfleet_keycache_misses_total %d\n", misses)
 	obs.WriteRuntimeMetrics(w)
 }
-
-// Routed returns replica i's served-request count (tests, reports).
-func (p *Proxy) Routed(i int) uint64 { return p.routed[i].Load() }
 
 // keyCache memoizes request-body bytes -> compile cache key with a small
 // LRU, so the proxy's Resolve cost amortizes across a repeated mix.

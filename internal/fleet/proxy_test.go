@@ -307,3 +307,9 @@ func TestProxyMetrics(t *testing.T) {
 		}
 	}
 }
+
+// Health exposes the checker (tests, health endpoint).
+func (p *Proxy) Health() *HealthChecker { return p.health }
+
+// Ring exposes the hash ring (tests).
+func (p *Proxy) Ring() *Ring { return p.ring }

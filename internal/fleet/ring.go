@@ -68,9 +68,6 @@ func hash64(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// Replicas returns the ring's membership in declaration order.
-func (r *Ring) Replicas() []Replica { return r.replicas }
-
 // Order returns the distinct replica indices in ring order starting at key's
 // successor point: Order(key)[0] is the home replica, the rest are the
 // failover sequence. Every replica appears exactly once.
@@ -90,13 +87,4 @@ func (r *Ring) Order(key string) []int {
 		}
 	}
 	return out
-}
-
-// Home returns the key's home replica index (-1 on an empty ring).
-func (r *Ring) Home(key string) int {
-	order := r.Order(key)
-	if len(order) == 0 {
-		return -1
-	}
-	return order[0]
 }

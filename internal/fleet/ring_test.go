@@ -108,3 +108,12 @@ func TestRingEmpty(t *testing.T) {
 		t.Fatalf("empty ring Home = %d, want -1", home)
 	}
 }
+
+// Home returns the key's home replica index (-1 on an empty ring).
+func (r *Ring) Home(key string) int {
+	order := r.Order(key)
+	if len(order) == 0 {
+		return -1
+	}
+	return order[0]
+}

@@ -7,7 +7,6 @@ package gatemat
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"trios/internal/circuit"
 )
@@ -24,21 +23,6 @@ func (a Mat2) Mul(b Mat2) Mat2 {
 		a[0]*b[0] + a[1]*b[2], a[0]*b[1] + a[1]*b[3],
 		a[2]*b[0] + a[3]*b[2], a[2]*b[1] + a[3]*b[3],
 	}
-}
-
-// Adjoint returns the conjugate transpose.
-func (a Mat2) Adjoint() Mat2 {
-	return Mat2{
-		cmplx.Conj(a[0]), cmplx.Conj(a[2]),
-		cmplx.Conj(a[1]), cmplx.Conj(a[3]),
-	}
-}
-
-// IsUnitary reports whether a†a = I within tolerance.
-func (a Mat2) IsUnitary(tol float64) bool {
-	p := a.Adjoint().Mul(a)
-	return cmplx.Abs(p[0]-1) < tol && cmplx.Abs(p[3]-1) < tol &&
-		cmplx.Abs(p[1]) < tol && cmplx.Abs(p[2]) < tol
 }
 
 func expi(theta float64) complex128 {

@@ -124,3 +124,18 @@ func TestAdjoint(t *testing.T) {
 		t.Errorf("adjoint not inverse: %v", p)
 	}
 }
+
+// Adjoint returns the conjugate transpose.
+func (a Mat2) Adjoint() Mat2 {
+	return Mat2{
+		cmplx.Conj(a[0]), cmplx.Conj(a[2]),
+		cmplx.Conj(a[1]), cmplx.Conj(a[3]),
+	}
+}
+
+// IsUnitary reports whether a†a = I within tolerance.
+func (a Mat2) IsUnitary(tol float64) bool {
+	p := a.Adjoint().Mul(a)
+	return cmplx.Abs(p[0]-1) < tol && cmplx.Abs(p[3]-1) < tol &&
+		cmplx.Abs(p[1]) < tol && cmplx.Abs(p[2]) < tol
+}

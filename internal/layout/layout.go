@@ -68,9 +68,6 @@ func (l *Layout) Size() int { return len(l.v2p) }
 // Phys returns the physical qubit currently holding virtual qubit v.
 func (l *Layout) Phys(v int) int { return l.v2p[v] }
 
-// Virt returns the virtual qubit currently held by physical qubit p.
-func (l *Layout) Virt(p int) int { return l.p2v[p] }
-
 // SwapPhys exchanges the virtual qubits held at two physical positions,
 // mirroring the effect of a SWAP gate on (p1, p2).
 func (l *Layout) SwapPhys(p1, p2 int) {
@@ -133,17 +130,6 @@ func InteractionWeights(c *circuit.Circuit) map[[2]int]int {
 		}
 	}
 	return w
-}
-
-// Greedy builds an initial placement that tries to keep strongly-interacting
-// logical qubits close on the device. It seeds the most-connected logical
-// qubit at the device's highest-degree physical qubit, then repeatedly
-// places the unplaced logical qubit with the strongest ties to already
-// placed ones at the free physical qubit minimizing weighted distance to its
-// placed partners. Remaining (non-interacting) qubits fill free positions
-// nearest the placed region.
-func Greedy(c *circuit.Circuit, g *topo.Graph) (*Layout, error) {
-	return GreedyWeighted(c, g, nil)
 }
 
 // GreedyWeighted is Greedy with noise-aware distances: when w is non-nil,

@@ -186,3 +186,17 @@ func TestGreedyOnAllPaperTopologies(t *testing.T) {
 		}
 	}
 }
+
+// Virt returns the virtual qubit currently held by physical qubit p.
+func (l *Layout) Virt(p int) int { return l.p2v[p] }
+
+// Greedy builds an initial placement that tries to keep strongly-interacting
+// logical qubits close on the device. It seeds the most-connected logical
+// qubit at the device's highest-degree physical qubit, then repeatedly
+// places the unplaced logical qubit with the strongest ties to already
+// placed ones at the free physical qubit minimizing weighted distance to its
+// placed partners. Remaining (non-interacting) qubits fill free positions
+// nearest the placed region.
+func Greedy(c *circuit.Circuit, g *topo.Graph) (*Layout, error) {
+	return GreedyWeighted(c, g, nil)
+}

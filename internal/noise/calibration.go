@@ -13,32 +13,6 @@ import (
 	"trios/internal/sched"
 )
 
-// ParamsFrom reduces a calibration to the scalar device-average model the
-// paper's §2.6 closed form uses. For a flat calibration the reduction is
-// lossless: ParamsFrom(device.JohannesburgFlat()) equals Johannesburg0819
-// (plus the chosen coherence mode).
-func ParamsFrom(cal *device.Calibration, mode CoherenceMode) Params {
-	return Params{
-		T1:            cal.MeanT1(),
-		T2:            cal.MeanT2(),
-		Coherence:     mode,
-		Times:         cal.Times,
-		OneQubitError: cal.MeanOneQubitError(),
-		TwoQubitError: cal.MeanTwoQubitError(),
-		ReadoutError:  cal.MeanReadoutError(),
-	}
-}
-
-// EdgeMapFrom adapts a calibration's per-coupling error table to the EdgeMap
-// form the per-edge evaluation helpers take.
-func EdgeMapFrom(cal *device.Calibration) *EdgeMap {
-	m := &EdgeMap{name: cal.Name, errs: make(map[[2]int]float64, len(cal.TwoQubitError))}
-	for k, v := range cal.TwoQubitError {
-		m.errs[k] = v
-	}
-	return m
-}
-
 // SuccessWithCalibration is the closed-form success estimate of a compiled
 // circuit under full per-qubit / per-edge calibration data: every CX is
 // charged its own coupling's error rate (SWAPs as 3 uses), every one-qubit

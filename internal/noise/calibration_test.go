@@ -10,6 +10,40 @@ import (
 	"trios/internal/topo"
 )
 
+// ParamsFrom reduces a calibration to the scalar device-average model the
+// paper's §2.6 closed form uses. For a flat calibration the reduction is
+// lossless: ParamsFrom(device.JohannesburgFlat()) equals Johannesburg0819
+// (plus the chosen coherence mode).
+func ParamsFrom(cal *device.Calibration, mode CoherenceMode) Params {
+	return Params{
+		T1:            cal.MeanT1(),
+		T2:            cal.MeanT2(),
+		Coherence:     mode,
+		Times:         cal.Times,
+		OneQubitError: mean(cal.OneQubitError),
+		TwoQubitError: cal.MeanTwoQubitError(),
+		ReadoutError:  mean(cal.ReadoutError),
+	}
+}
+
+// EdgeMapFrom adapts a calibration's per-coupling error table to the EdgeMap
+// form the per-edge evaluation helpers take.
+func EdgeMapFrom(cal *device.Calibration) *EdgeMap {
+	m := &EdgeMap{name: cal.Name, errs: make(map[[2]int]float64, len(cal.TwoQubitError))}
+	for k, v := range cal.TwoQubitError {
+		m.errs[k] = v
+	}
+	return m
+}
+
+func mean(xs []float64) float64 {
+	s := 0.0
+	for _, x := range xs {
+		s += x
+	}
+	return s / float64(len(xs))
+}
+
 // smallCompiled returns a compiled-shape circuit legal on Johannesburg.
 func smallCompiled() *circuit.Circuit {
 	c := circuit.New(4)

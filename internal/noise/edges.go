@@ -77,33 +77,6 @@ func (m *EdgeMap) SetError(a, b int, err float64) {
 	m.errs[edgeKey(a, b)] = err
 }
 
-// RouteWeight adapts the map for the routers' noise-aware mode: the weight
-// of an edge is -log of its CNOT success rate, so a path's total weight is
-// -log of its success probability and Dijkstra maximizes success.
-func (m *EdgeMap) RouteWeight() func(a, b int) float64 {
-	return func(a, b int) float64 {
-		e, err := m.Error(a, b)
-		if err != nil {
-			return math.Inf(1)
-		}
-		if e >= 1 {
-			return math.Inf(1)
-		}
-		return -math.Log(1 - e)
-	}
-}
-
-// WorstError returns the largest per-edge error in the map.
-func (m *EdgeMap) WorstError() float64 {
-	worst := 0.0
-	for _, v := range m.errs {
-		if v > worst {
-			worst = v
-		}
-	}
-	return worst
-}
-
 // SuccessProbabilityEdges is SuccessProbability with per-edge two-qubit
 // errors: every CX is charged its own coupling's error rate instead of the
 // device average. The circuit must already be compiled (only basis gates on

@@ -73,16 +73,14 @@ func ParseFormat(s string) (Format, error) {
 }
 
 // Logger is a leveled structured logger. Lines carry a timestamp, the level,
-// the message, the logger's base attributes (set by With), then per-call
-// key/value pairs. A nil *Logger discards everything, so optional logging
-// call sites need no guards. Loggers are safe for concurrent use; With
-// shares the parent's writer and lock.
+// the message, then per-call key/value pairs. A nil *Logger discards
+// everything, so optional logging call sites need no guards. Loggers are
+// safe for concurrent use.
 type Logger struct {
 	mu    *sync.Mutex
 	w     io.Writer
 	level Level
 	json  bool
-	base  []Attr
 }
 
 // NewLogger builds a logger writing to w at the given level and format.
@@ -90,26 +88,12 @@ func NewLogger(w io.Writer, level Level, format Format) *Logger {
 	return &Logger{mu: &sync.Mutex{}, w: w, level: level, json: format == FormatJSON}
 }
 
-// With returns a logger that prepends the given key/value pairs (same
-// conventions as the logging methods) to every line.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	child := *l
-	child.base = append(append([]Attr(nil), l.base...), attrs(kv)...)
-	return &child
-}
-
 // Enabled reports whether a line at level would be written — the guard for
 // callers that build expensive attributes.
 func (l *Logger) Enabled(level Level) bool { return l != nil && level >= l.level }
 
-// Debug logs at LevelDebug. kv alternates keys and values; values are
+// Info logs at LevelInfo. kv alternates keys and values; values are
 // rendered with fmt.Sprint.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info logs at LevelInfo.
 func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
 
 // Warn logs at LevelWarn.
@@ -142,7 +126,7 @@ func (l *Logger) log(level Level, msg string, kv []any) {
 	}
 	line := make([]byte, 0, 128)
 	ts := time.Now().UTC().Format("2006-01-02T15:04:05.000Z")
-	all := append(append([]Attr(nil), l.base...), attrs(kv)...)
+	all := attrs(kv)
 	if l.json {
 		line = append(line, `{"time":`...)
 		line = appendJSONString(line, ts)

@@ -10,7 +10,7 @@ import (
 func TestLoggerLogfmt(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelInfo, FormatLogfmt)
-	l.Debug("dropped")
+	l.log(LevelDebug, "dropped", nil)
 	l.Info("triosd listening on :8080 (prod)", "workers", 4, "queue", 64)
 	l.Error("store write failed", "err", "disk full")
 
@@ -35,7 +35,7 @@ func TestLoggerLogfmt(t *testing.T) {
 func TestLoggerJSON(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelDebug, FormatJSON)
-	l.Debug("probe", "replica", "http://r1", "ok", true)
+	l.log(LevelDebug, "probe", []any{"replica", "http://r1", "ok", true})
 	var rec map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &rec); err != nil {
 		t.Fatalf("line is not JSON: %v\n%s", err, buf.String())
@@ -45,15 +45,6 @@ func TestLoggerJSON(t *testing.T) {
 	}
 	if _, ok := rec["time"].(string); !ok {
 		t.Fatalf("missing time: %v", rec)
-	}
-}
-
-func TestLoggerWith(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo, FormatLogfmt).With("component", "fleet")
-	l.Info("up")
-	if !strings.Contains(buf.String(), "component=fleet") {
-		t.Fatalf("With attr missing: %s", buf.String())
 	}
 }
 
@@ -70,9 +61,6 @@ func TestNilLoggerIsNoOp(t *testing.T) {
 	var l *Logger
 	l.Info("x", "k", "v")
 	l.Error("y")
-	if l.With("a", "b") != nil {
-		t.Fatal("nil With returned non-nil")
-	}
 	if l.Enabled(LevelError) {
 		t.Fatal("nil logger claims enabled")
 	}

@@ -44,9 +44,6 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// String builds an Attr (reads better than a struct literal at call sites).
-func String(key, value string) Attr { return Attr{Key: key, Value: value} }
-
 // SpanData is one finished span as recorded in its trace. IDs are hex
 // strings so the JSON form needs no further decoding.
 type SpanData struct {
@@ -58,9 +55,6 @@ type SpanData struct {
 	Attrs      []Attr    `json:"attrs,omitempty"`
 	Err        string    `json:"error,omitempty"`
 }
-
-// Duration returns the span's recorded wall-clock cost.
-func (sd SpanData) Duration() time.Duration { return time.Duration(sd.DurationNs) }
 
 // maxSpansPerTrace bounds one trace's span list: a runaway instrumentation
 // loop degrades to dropped spans (counted on the record), never to unbounded

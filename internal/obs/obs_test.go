@@ -88,7 +88,7 @@ func TestReconstructedChildSpans(t *testing.T) {
 	spans := tr.Recent(0)[0].Spans
 	for _, s := range spans {
 		if s.Name == "compile" {
-			if got := s.Duration(); got != 40*time.Millisecond {
+			if got := time.Duration(s.DurationNs); got != 40*time.Millisecond {
 				t.Fatalf("reconstructed duration %v, want 40ms", got)
 			}
 			return

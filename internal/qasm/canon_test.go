@@ -77,3 +77,19 @@ func TestCanonicalRejectsGarbage(t *testing.T) {
 		t.Error("Canonical of non-QASM text unexpectedly succeeded")
 	}
 }
+
+// Canonical parses OpenQASM source and re-emits it in Emit's normal form, so
+// that textually different but semantically identical programs (comments,
+// whitespace, statement grouping, pi-expression spellings) serialize to the
+// same bytes. The serving layer content-addresses its compile cache by
+// hashing exactly this Parse∘Emit normal form — service.Resolve performs the
+// two steps inline because it also needs the parsed circuit, and Canonical
+// is the property-tested definition of that form (idempotent, and any change
+// to it remaps every cache key).
+func Canonical(src string) (string, error) {
+	c, err := Parse(src)
+	if err != nil {
+		return "", err
+	}
+	return Emit(c)
+}

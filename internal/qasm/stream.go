@@ -136,9 +136,6 @@ func (e *Emitter) EmitGate(g circuit.Gate) error {
 	return nil
 }
 
-// Gates reports how many gates have been emitted.
-func (e *Emitter) Gates() int { return e.gates }
-
 // Flush forces buffered output to the underlying writer. Call it after the
 // final gate (and at window boundaries when incremental delivery matters,
 // e.g. chunked HTTP responses).

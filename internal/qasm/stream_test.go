@@ -201,3 +201,6 @@ func TestStreamRoundTrip(t *testing.T) {
 		t.Fatalf("stream round-trip diverged:\n--- got ---\n%s--- want ---\n%s", sb.String(), src)
 	}
 }
+
+// Gates reports how many gates have been emitted.
+func (e *Emitter) Gates() int { return e.gates }

@@ -345,9 +345,8 @@ func (e *engine) replace(i int32, g circuit.Gate) {
 	e.touch(i)
 }
 
-// prevOn / nextOn return the neighbor of node i on qubit q's wire.
+// prevOn returns the neighbor before node i on qubit q's wire.
 func (e *engine) prevOn(i int32, q int) int32 { return e.prev[i][wireIdx(e.gates[i], q)] }
-func (e *engine) nextOn(i int32, q int) int32 { return e.next[i][wireIdx(e.gates[i], q)] }
 
 // searchBack walks backward from node i across gates that commute with
 // gates[i], looking for the first node where match returns true. The walk

@@ -133,29 +133,3 @@ func (s *state) routeGroup(vs []int) error {
 	}
 	return nil
 }
-
-// GroupConnected reports whether a set of physical qubits induces a
-// connected subgraph of g — the postcondition of routeGroup and the
-// precondition of the group-local MCX decomposition.
-func GroupConnected(g *topo.Graph, qubits []int) bool {
-	if len(qubits) == 0 {
-		return true
-	}
-	in := make(map[int]bool, len(qubits))
-	for _, q := range qubits {
-		in[q] = true
-	}
-	seen := map[int]bool{qubits[0]: true}
-	stack := []int{qubits[0]}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nb := range g.Neighbors(q) {
-			if in[nb] && !seen[nb] {
-				seen[nb] = true
-				stack = append(stack, nb)
-			}
-		}
-	}
-	return len(seen) == len(qubits)
-}

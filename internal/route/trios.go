@@ -37,14 +37,6 @@ func (t *Trios) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.Layout)
 	return ss.Finish(), nil
 }
 
-// trioConnected reports whether the three physical positions form a
-// connected subgraph (line or triangle), the precondition for the
-// mapping-aware Toffoli decompositions.
-func (s *state) trioConnected(p0, p1, p2 int) bool {
-	_, ok := s.g.LinearTrio(p0, p1, p2)
-	return ok
-}
-
 // routeTrio brings the three virtual qubits of a Toffoli into a connected
 // neighborhood.
 func (s *state) routeTrio(v0, v1, v2 int) error {

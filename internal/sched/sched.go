@@ -111,84 +111,3 @@ func Duration(c *circuit.Circuit, times GateTimes) (float64, error) {
 	}
 	return s.TotalDuration, nil
 }
-
-// ALAP schedules every gate at the latest time that keeps the ASAP
-// makespan: gates are placed right-to-left against each qubit's deadline.
-// Delaying gates as late as possible shortens the time early-prepared
-// qubits sit idle and decohering, which is why compilers often prefer ALAP
-// for the final schedule.
-func ALAP(c *circuit.Circuit, times GateTimes) (*Schedule, error) {
-	asap, err := ASAP(c, times)
-	if err != nil {
-		return nil, err
-	}
-	makespan := asap.TotalDuration
-	deadline := make([]float64, c.NumQubits)
-	for i := range deadline {
-		deadline[i] = makespan
-	}
-	s := &Schedule{
-		Start:             make([]float64, len(c.Gates)),
-		TotalDuration:     makespan,
-		CriticalPathGates: asap.CriticalPathGates,
-	}
-	for i := len(c.Gates) - 1; i >= 0; i-- {
-		g := c.Gates[i]
-		end := makespan
-		for _, q := range g.Qubits {
-			if deadline[q] < end {
-				end = deadline[q]
-			}
-		}
-		d, err := times.Duration(g)
-		if err != nil {
-			return nil, fmt.Errorf("gate %d: %w", i, err)
-		}
-		start := end - d
-		s.Start[i] = start
-		for _, q := range g.Qubits {
-			deadline[q] = start
-		}
-	}
-	return s, nil
-}
-
-// IdleTime returns the summed per-qubit idle time of a schedule: for each
-// active qubit, the span between its first gate's start and last gate's end
-// minus the time it spends inside gates. Lower is better for decoherence;
-// ALAP schedules never have more idle-before-first-use than ASAP.
-func IdleTime(c *circuit.Circuit, s *Schedule, times GateTimes) (float64, error) {
-	first := make([]float64, c.NumQubits)
-	last := make([]float64, c.NumQubits)
-	busy := make([]float64, c.NumQubits)
-	active := make([]bool, c.NumQubits)
-	for i := range first {
-		first[i] = -1
-	}
-	for i, g := range c.Gates {
-		if g.Name == circuit.Barrier {
-			continue
-		}
-		d, err := times.Duration(g)
-		if err != nil {
-			return 0, err
-		}
-		for _, q := range g.Qubits {
-			if first[q] < 0 {
-				first[q] = s.Start[i]
-			}
-			if end := s.Start[i] + d; end > last[q] {
-				last[q] = end
-			}
-			busy[q] += d
-			active[q] = true
-		}
-	}
-	total := 0.0
-	for q := 0; q < c.NumQubits; q++ {
-		if active[q] {
-			total += (last[q] - first[q]) - busy[q]
-		}
-	}
-	return total, nil
-}

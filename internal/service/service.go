@@ -436,12 +436,6 @@ func (s *Service) writeThrough(it storeItem) {
 	it.span.End()
 }
 
-// Store exposes the persistent tier (nil when the daemon runs memory-only).
-func (s *Service) Store() *store.Store { return s.store }
-
-// Workers returns the resolved compile-worker count.
-func (s *Service) Workers() int { return s.workers }
-
 // buildArtifact freezes one compile result into its cacheable wire form.
 func buildArtifact(spec *JobSpec, jr compiler.JobResult) (*Artifact, error) {
 	src, err := qasm.Emit(jr.Result.Physical)
@@ -486,9 +480,6 @@ func (s *Service) BeginDrain() { s.closing.Store(true) }
 
 // Draining reports whether the service has stopped admitting work.
 func (s *Service) Draining() bool { return s.closing.Load() }
-
-// Cache exposes the artifact cache (stats, tests).
-func (s *Service) Cache() *Cache { return s.cache }
 
 // QueueStats returns the admission queue's current depth and capacity.
 func (s *Service) QueueStats() (length, capacity int) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"trios/internal/circuit"
@@ -100,7 +101,7 @@ func BenchmarkApplyFusedParallel16(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := NewState(16)
-		if err := p.Run(s, defaultWorkers()); err != nil {
+		if err := p.Run(s, runtime.GOMAXPROCS(0)); err != nil {
 			b.Fatal(err)
 		}
 	}

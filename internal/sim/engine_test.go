@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,28 @@ import (
 	"trios/internal/circuit"
 	"trios/internal/stab"
 )
+
+// Stats is a snapshot of the engine's dispatch counters.
+type Stats struct {
+	// DenseVerifications and StabilizerVerifications count Verify /
+	// VerifyCompiled calls dispatched to each backend.
+	DenseVerifications      int64
+	StabilizerVerifications int64
+	// DenseShots and StabilizerShots count Monte-Carlo trajectories run on
+	// each backend.
+	DenseShots      int64
+	StabilizerShots int64
+}
+
+// Stats returns a snapshot of the dispatch counters.
+func (e *Engine) Stats() Stats {
+	return Stats{
+		DenseVerifications:      e.denseVerifies.Load(),
+		StabilizerVerifications: e.stabVerifies.Load(),
+		DenseShots:              e.denseShots.Load(),
+		StabilizerShots:         e.stabShots.Load(),
+	}
+}
 
 // randomCliffordCircuit builds a random Clifford circuit from the gate set
 // the classifier recognizes.
@@ -275,4 +298,48 @@ func TestRandomStabilizerPrepIsClifford(t *testing.T) {
 			t.Fatalf("prep circuit not Clifford:\n%v", p)
 		}
 	}
+}
+
+// Verify reports whether two circuits on the same qubit count implement the
+// same unitary up to global phase, dispatching Clifford pairs to the
+// stabilizer backend (checked on `trials` random stabilizer inputs) and
+// everything else to the dense backend (`trials` random statevectors).
+// Measure and Barrier gates are stripped before checking.
+func (e *Engine) Verify(a, b *circuit.Circuit, trials int, seed int64) (Verdict, error) {
+	if a.NumQubits != b.NumQubits {
+		return Verdict{}, fmt.Errorf("sim: qubit count mismatch %d vs %d", a.NumQubits, b.NumQubits)
+	}
+	sa, sb := a.StripPseudo(), b.StripPseudo()
+	stabBE := StabilizerBackend{}
+	if stabBE.Supports(sa) && stabBE.Supports(sb) {
+		e.stabVerifies.Add(1)
+		rng := rand.New(rand.NewSource(seed))
+		for t := 0; t < trials; t++ {
+			prep := randomStabilizerPrep(a.NumQubits, rng)
+			ra := stab.NewState(a.NumQubits)
+			rb := stab.NewState(a.NumQubits)
+			for _, s := range []*stab.State{ra, rb} {
+				if err := s.ApplyCircuit(prep); err != nil {
+					return Verdict{}, fmt.Errorf("sim: stabilizer prep: %w", err)
+				}
+			}
+			if err := ra.ApplyCircuit(sa); err != nil {
+				return Verdict{}, fmt.Errorf("sim: circuit a: %w", err)
+			}
+			if err := rb.ApplyCircuit(sb); err != nil {
+				return Verdict{}, fmt.Errorf("sim: circuit b: %w", err)
+			}
+			if !ra.Equal(rb) {
+				return Verdict{Backend: "stabilizer"}, nil
+			}
+		}
+		return Verdict{Equivalent: true, Backend: "stabilizer"}, nil
+	}
+
+	e.denseVerifies.Add(1)
+	ok, err := e.denseEquivalent(sa, sb, trials, seed)
+	if err != nil {
+		return Verdict{}, err
+	}
+	return Verdict{Equivalent: ok, Backend: "dense"}, nil
 }

@@ -56,10 +56,6 @@ type FusedProgram struct {
 	maxIters uint64 // largest compact range of any op; gates pool creation in Run
 }
 
-// NumOps returns the number of fused amplitude sweeps; the unfused gate
-// count of the source circuit is at least this large.
-func (p *FusedProgram) NumOps() int { return len(p.ops) }
-
 // Fuse compiles a circuit for an n-qubit register (n >= c.NumQubits).
 // Measure gates are rejected — strip them first, as the equivalence paths
 // do; Barriers are dropped. RCCX/RCCXdg lower to their defining

@@ -99,8 +99,8 @@ func TestFuseCollapsesSingleQubitRuns(t *testing.T) {
 	// The 1q-run pass fuses each maximal run per qubit; the block pass then
 	// absorbs both pre-CX runs into the CX's 4x4 lift:
 	// ops = block((HTS@0 ⊗ H@1) then CX), fused(q0: T,H), fused(q1: S).
-	if p.NumOps() != 3 {
-		t.Errorf("NumOps = %d, want 3", p.NumOps())
+	if len(p.ops) != 3 {
+		t.Errorf("fused ops = %d, want 3", len(p.ops))
 	}
 }
 
@@ -113,8 +113,8 @@ func TestFuseLeavesLoneEntanglerUnblocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumOps() != 3 {
-		t.Errorf("NumOps = %d, want 3 (lone entanglers must not be lifted)", p.NumOps())
+	if len(p.ops) != 3 {
+		t.Errorf("fused ops = %d, want 3 (lone entanglers must not be lifted)", len(p.ops))
 	}
 }
 

@@ -37,10 +37,6 @@ import (
 	"trios/internal/gatemat"
 )
 
-// defaultWorkers is the worker count used when an Engine leaves Workers at
-// zero.
-func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // clampWorkers resolves a requested worker count against the scheduler's
 // actual parallelism: w <= 0 means "use GOMAXPROCS", and any request above
 // GOMAXPROCS is clamped down to it. Goroutines beyond the scheduler width

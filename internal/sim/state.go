@@ -67,22 +67,8 @@ func NewRandomState(n int, seed int64) *State {
 	return s
 }
 
-// FromAmplitudes builds a state from explicit amplitudes; len(amps) must be
-// 2^n and the vector is used as-is (callers are responsible for norm).
-func FromAmplitudes(n int, amps []complex128) *State {
-	if len(amps) != 1<<uint(n) {
-		panic(fmt.Sprintf("sim: %d amplitudes for %d qubits", len(amps), n))
-	}
-	s := NewState(n)
-	copy(s.amp, amps)
-	return s
-}
-
 // NumQubits returns the number of qubits in the state.
 func (s *State) NumQubits() int { return s.n }
-
-// Amplitude returns the amplitude of basis state index.
-func (s *State) Amplitude(index uint64) complex128 { return s.amp[index] }
 
 // Reset returns the state to |0...0> in place, reusing the amplitude
 // buffer. Trajectory workers reuse one state across thousands of shots, so
@@ -261,26 +247,6 @@ func (s *State) ApplyCircuit(c *circuit.Circuit) error {
 		}
 	}
 	return nil
-}
-
-// PermuteQubits returns a new state with qubit i of the input placed at
-// position perm[i] of the output. It is used to undo the qubit permutation
-// that routing SWAPs leave behind before comparing states.
-func (s *State) PermuteQubits(perm []int) *State {
-	if len(perm) != s.n {
-		panic("sim: permutation length mismatch")
-	}
-	out := &State{n: s.n, amp: make([]complex128, len(s.amp))}
-	for i := uint64(0); i < uint64(len(s.amp)); i++ {
-		var j uint64
-		for q := 0; q < s.n; q++ {
-			if i&(1<<uint(q)) != 0 {
-				j |= 1 << uint(perm[q])
-			}
-		}
-		out.amp[j] = s.amp[i]
-	}
-	return out
 }
 
 // MeasureAll returns a sampled basis state using the given RNG.

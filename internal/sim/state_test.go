@@ -112,12 +112,12 @@ func TestCZPhase(t *testing.T) {
 	// CZ on |11> flips sign: <+ on both after H> interference test.
 	s := NewBasisState(2, 3)
 	s.ApplyGate(circuit.NewGate(circuit.CZ, []int{0, 1}))
-	if cmplx.Abs(s.Amplitude(3)+1) > 1e-12 {
-		t.Errorf("cz|11> = %v, want -1", s.Amplitude(3))
+	if cmplx.Abs(s.amp[3]+1) > 1e-12 {
+		t.Errorf("cz|11> = %v, want -1", s.amp[3])
 	}
 	s2 := NewBasisState(2, 1)
 	s2.ApplyGate(circuit.NewGate(circuit.CZ, []int{0, 1}))
-	if cmplx.Abs(s2.Amplitude(1)-1) > 1e-12 {
+	if cmplx.Abs(s2.amp[1]-1) > 1e-12 {
 		t.Error("cz|01> should be unchanged")
 	}
 }
@@ -126,8 +126,8 @@ func TestCPPhase(t *testing.T) {
 	s := NewBasisState(2, 3)
 	s.ApplyGate(circuit.NewGate(circuit.CP, []int{0, 1}, math.Pi/2))
 	want := complex(0, 1)
-	if cmplx.Abs(s.Amplitude(3)-want) > 1e-12 {
-		t.Errorf("cp(pi/2)|11> = %v, want i", s.Amplitude(3))
+	if cmplx.Abs(s.amp[3]-want) > 1e-12 {
+		t.Errorf("cp(pi/2)|11> = %v, want i", s.amp[3])
 	}
 }
 
@@ -196,20 +196,6 @@ func TestCircuitInverseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPermuteQubits(t *testing.T) {
-	// |q1 q0> = |01> (qubit 0 set). Swap 0 and 1 -> qubit 1 set.
-	s := NewBasisState(2, 1)
-	p := s.PermuteQubits([]int{1, 0})
-	if p.Probability(2) != 1 {
-		t.Errorf("permuted state wrong: p(2)=%v", p.Probability(2))
-	}
-	// Identity permutation.
-	id := s.PermuteQubits([]int{0, 1})
-	if id.Fidelity(s) < 1-1e-12 {
-		t.Error("identity permutation changed state")
 	}
 }
 

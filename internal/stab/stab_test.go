@@ -3,6 +3,7 @@ package stab
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"trios/internal/circuit"
@@ -142,4 +143,47 @@ func randomClifford(rng *rand.Rand, n, gates int) *circuit.Circuit {
 		}
 	}
 	return c
+}
+
+// Generator returns the i-th stabilizer generator as X/Z bit slices over
+// qubits plus the sign bit (0 for +, 1 for -). Used by cross-validation
+// tests and debugging tools; the returned slices are copies.
+func (s *State) Generator(i int) (xs, zs []bool, sign uint8) {
+	xs = make([]bool, s.n)
+	zs = make([]bool, s.n)
+	for q := 0; q < s.n; q++ {
+		xs[q] = s.getX(i, q)
+		zs[q] = s.getZ(i, q)
+	}
+	return xs, zs, s.r[i]
+}
+
+// Stabilizers renders the generators as Pauli strings for debugging, e.g.
+// "+XIZ". Rows are sorted for stable output.
+func (s *State) Stabilizers() []string {
+	out := make([]string, s.n)
+	for i := 0; i < s.n; i++ {
+		buf := make([]byte, 0, s.n+1)
+		if s.r[i] == 0 {
+			buf = append(buf, '+')
+		} else {
+			buf = append(buf, '-')
+		}
+		for q := 0; q < s.n; q++ {
+			x, z := s.getX(i, q), s.getZ(i, q)
+			switch {
+			case x && z:
+				buf = append(buf, 'Y')
+			case x:
+				buf = append(buf, 'X')
+			case z:
+				buf = append(buf, 'Z')
+			default:
+				buf = append(buf, 'I')
+			}
+		}
+		out[i] = string(buf)
+	}
+	sort.Strings(out)
+	return out
 }

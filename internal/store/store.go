@@ -120,9 +120,6 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // objectPath returns the entry file for key, fanned out over a two-hex-digit
 // prefix directory so no single directory grows unboundedly.
 func (s *Store) objectPath(key string) string {
@@ -179,14 +176,6 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	s.touchLocked(e)
 	s.mu.Unlock()
 	return body, true
-}
-
-// Contains reports whether key is indexed, without touching recency or disk.
-func (s *Store) Contains(key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key]
-	return ok
 }
 
 // Put stores body under key, evicting least-recently-used entries if the
@@ -264,24 +253,6 @@ func (s *Store) quarantineLocked(e *list.Element, cause error) {
 	s.quarantined++
 	s.saveIndexLocked()
 	_ = cause // the caller reports the miss; the file itself is the forensic record
-}
-
-// Len returns the number of indexed entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
-
-// Keys returns the indexed keys, most recently used first.
-func (s *Store) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, s.ll.Len())
-	for e := s.ll.Front(); e != nil; e = e.Next() {
-		out = append(out, e.Value.(*entry).key)
-	}
-	return out
 }
 
 // Stats snapshots the store counters.

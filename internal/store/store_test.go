@@ -372,3 +372,29 @@ func TestClosedStoreRefusesWork(t *testing.T) {
 		t.Fatalf("Put on closed store: %v, want ErrClosed", err)
 	}
 }
+
+// Contains reports whether key is indexed, without touching recency or disk.
+func (s *Store) Contains(key string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.entries[key]
+	return ok
+}
+
+// Len returns the number of indexed entries.
+func (s *Store) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ll.Len()
+}
+
+// Keys returns the indexed keys, most recently used first.
+func (s *Store) Keys() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]string, 0, s.ll.Len())
+	for e := s.ll.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(*entry).key)
+	}
+	return out
+}

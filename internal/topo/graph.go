@@ -136,29 +136,6 @@ func (g *Graph) LinearTrio(a, b, c int) (middle int, ok bool) {
 	return -1, false
 }
 
-// IsConnectedGraph reports whether every qubit is reachable from qubit 0.
-func (g *Graph) IsConnectedGraph() bool {
-	if g.n == 0 {
-		return true
-	}
-	seen := make([]bool, g.n)
-	stack := []int{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, nb := range g.adj[q] {
-			if !seen[nb] {
-				seen[nb] = true
-				count++
-				stack = append(stack, nb)
-			}
-		}
-	}
-	return count == g.n
-}
-
 // String describes the graph briefly.
 func (g *Graph) String() string {
 	return fmt.Sprintf("%s(%d qubits, %d edges)", g.name, g.n, len(g.edge))

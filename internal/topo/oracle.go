@@ -179,14 +179,6 @@ func (g *Graph) Dist(a, b int) int {
 	return int(g.ensureOracle().dist[a*g.n+b])
 }
 
-// NextHopCandidates returns the neighbors of src that lie on some shortest
-// path toward dst, in adjacency order — the candidate set a tie-breaking
-// path walk chooses from at src. The slice is shared; callers must not
-// modify it. Empty when src == dst or dst is unreachable.
-func (g *Graph) NextHopCandidates(src, dst int) []int32 {
-	return g.ensureOracle().candidates(g.n, src, dst)
-}
-
 // EdgeList returns all couplings as sorted (low, high) pairs. Unlike Edges,
 // the returned slice is the oracle's shared copy: callers must not modify it.
 func (g *Graph) EdgeList() [][2]int {
@@ -203,13 +195,14 @@ func (g *Graph) freezeCheck() {
 // ---- Weighted oracle ----
 
 // WeightedOracle precomputes minimum-weight paths for every source under one
-// edge-weight function, replacing the Dijkstra-per-query WeightedPath in the
-// noise-aware routing hot loop. Go cannot key a cache on function identity,
-// so the oracle is explicit: routers build one per (graph, weight) pair and
-// amortize it across every path query of a routing run. Paths are
-// bit-identical to WeightedPath's: the build runs the same Dijkstra with the
-// same heap semantics from each source, and a full run's predecessor tree
-// agrees with the early-exit per-query run on every popped node.
+// edge-weight function, for the noise-aware routing hot loop. Go cannot key
+// a cache on function identity, so the oracle is explicit: routers build one
+// per (graph, weight) pair and amortize it across every path query of a
+// routing run. Paths are bit-identical to a per-query Dijkstra's (the
+// WeightedPath reference in the tests): the build runs the same Dijkstra
+// with the same heap semantics from each source, and a full run's
+// predecessor tree agrees with the early-exit per-query run on every popped
+// node.
 //
 // Like the hop oracle, the tables are flat row-major slabs: dist[src*n+dst]
 // and prev[src*n+dst], so the routers' weighted delta-scoring loops index
@@ -221,8 +214,8 @@ type WeightedOracle struct {
 }
 
 // NewWeightedOracle runs one full Dijkstra per source over weight(a, b)
-// (negative weights clamp to 0, as in WeightedPath) and captures the
-// distance and predecessor tables.
+// (negative weights clamp to 0) and captures the distance and predecessor
+// tables.
 func NewWeightedOracle(g *Graph, weight func(a, b int) float64) *WeightedOracle {
 	n := g.NumQubits()
 	o := &WeightedOracle{
@@ -238,7 +231,7 @@ func NewWeightedOracle(g *Graph, weight func(a, b int) float64) *WeightedOracle 
 	return o
 }
 
-// dijkstraFrom is WeightedPath's Dijkstra without the early exit, writing
+// dijkstraFrom is the per-query Dijkstra without the early exit, writing
 // into caller-owned scratch. Relaxation and heap order match the per-query
 // run exactly, so predecessor chains (and therefore paths) are identical.
 func dijkstraFrom(g *Graph, src int, weight func(a, b int) float64, dist []float64, prev []int32, done []bool, pq *pairHeap) {
@@ -275,19 +268,6 @@ func (o *WeightedOracle) Dist(src, dst int) float64 { return o.dist[src*o.n+dst]
 // Slab returns the raw row-major distance slab (len n*n, index src*n+dst);
 // callers must not modify it.
 func (o *WeightedOracle) Slab() []float64 { return o.dist }
-
-// NumQubits returns the slab's row stride.
-func (o *WeightedOracle) NumQubits() int { return o.n }
-
-// Path returns a minimum-weight path from src to dst (inclusive), identical
-// to WeightedPath's choice, or nil when dst is unreachable.
-func (o *WeightedOracle) Path(src, dst int) []int {
-	p, ok := o.PathAppend(nil, src, dst)
-	if !ok {
-		return nil
-	}
-	return p
-}
 
 // PathAppend appends the minimum-weight path from src to dst onto buf and
 // returns it; ok is false (and buf is returned unchanged) when dst is

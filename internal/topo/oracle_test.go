@@ -393,3 +393,109 @@ func TestOracleBuildAllocBudget(t *testing.T) {
 		t.Fatalf("candidate table not exactly sized: len %d cap %d", len(o.cand), cap(o.cand))
 	}
 }
+
+// ShortestPath returns one shortest path from src to dst (inclusive of both),
+// breaking ties deterministically by lowest qubit index. Returns nil if dst
+// is unreachable.
+func (g *Graph) ShortestPath(src, dst int) []int {
+	return g.ShortestPathTieBreak(src, dst, nil)
+}
+
+// ShortestPathTieBreak returns one shortest path from src to dst. When
+// several next hops give the same distance, prefer is consulted to choose
+// among candidate next hops (it receives the candidate list and returns the
+// chosen index); a nil prefer picks the lowest qubit index. This hook lets
+// the stochastic router sample uniformly among shortest paths with a seeded
+// RNG while keeping the default deterministic.
+//
+// The walk reads the distance oracle's candidate table, which stores next
+// hops in the exact adjacency order a per-query BFS enumerates them — prefer
+// sees identical candidate slices (shared; it must not modify them) and is
+// invoked the same number of times, so seeded tie-break streams are
+// bit-identical to a BFS walk's.
+func (g *Graph) ShortestPathTieBreak(src, dst int, prefer func(cands []int32) int) []int {
+	o := g.ensureOracle()
+	if src == dst {
+		return []int{src}
+	}
+	d := o.dist[src*g.n+dst]
+	if d < 0 {
+		return nil
+	}
+	path := make([]int, 0, d+1)
+	path, _ = g.appendShortestPath(path, src, dst, prefer)
+	return path
+}
+
+// WeightedPath computes a minimum-weight path from src to dst using Dijkstra
+// over per-edge weights supplied by weight(a, b). It backs the noise-aware
+// routing mode, where an edge's weight is -log of its CNOT success rate so
+// that the path weight is -log of the path's success probability.
+// Returns nil if dst is unreachable.
+//
+// This is the per-query form; routers that issue many queries against one
+// weight function should build a WeightedOracle instead, which produces
+// bit-identical paths from precomputed tables.
+func (g *Graph) WeightedPath(src, dst int, weight func(a, b int) float64) []int {
+	dist := make([]float64, g.n)
+	prev := make([]int, g.n)
+	done := make([]bool, g.n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		prev[i] = -1
+	}
+	dist[src] = 0
+	pq := pairHeap{{q: src, d: 0}}
+	for pq.Len() > 0 {
+		it := pq.pop()
+		if done[it.q] {
+			continue
+		}
+		done[it.q] = true
+		if it.q == dst {
+			break
+		}
+		for _, nb := range g.adj[it.q] {
+			w := weight(it.q, nb)
+			if w < 0 {
+				w = 0
+			}
+			if nd := dist[it.q] + w; nd < dist[nb] {
+				dist[nb] = nd
+				prev[nb] = it.q
+				pq.push(pair{q: nb, d: nd})
+			}
+		}
+	}
+	if math.IsInf(dist[dst], 1) {
+		return nil
+	}
+	// Reconstruct.
+	var rev []int
+	for q := dst; q != -1; q = prev[q] {
+		rev = append(rev, q)
+	}
+	path := make([]int, len(rev))
+	for i, q := range rev {
+		path[len(rev)-1-i] = q
+	}
+	return path
+}
+
+// NextHopCandidates returns the neighbors of src that lie on some shortest
+// path toward dst, in adjacency order — the candidate set a tie-breaking
+// path walk chooses from at src. The slice is shared; callers must not
+// modify it. Empty when src == dst or dst is unreachable.
+func (g *Graph) NextHopCandidates(src, dst int) []int32 {
+	return g.ensureOracle().candidates(g.n, src, dst)
+}
+
+// Path returns a minimum-weight path from src to dst (inclusive), identical
+// to WeightedPath's choice, or nil when dst is unreachable.
+func (o *WeightedOracle) Path(src, dst int) []int {
+	p, ok := o.PathAppend(nil, src, dst)
+	if !ok {
+		return nil
+	}
+	return p
+}

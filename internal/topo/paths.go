@@ -1,7 +1,5 @@
 package topo
 
-import "math"
-
 // Distances returns the hop distances from src to every qubit (-1 when
 // unreachable) as a row of the precomputed distance oracle's flat int32
 // slab. The returned slice is shared; callers must not modify it.
@@ -10,43 +8,18 @@ func (g *Graph) Distances(src int) []int32 {
 	return o.dist[src*g.n : (src+1)*g.n]
 }
 
-// ShortestPath returns one shortest path from src to dst (inclusive of both),
-// breaking ties deterministically by lowest qubit index. Returns nil if dst
-// is unreachable.
-func (g *Graph) ShortestPath(src, dst int) []int {
-	return g.ShortestPathTieBreak(src, dst, nil)
-}
-
-// ShortestPathTieBreak returns one shortest path from src to dst. When
-// several next hops give the same distance, prefer is consulted to choose
-// among candidate next hops (it receives the candidate list and returns the
-// chosen index); a nil prefer picks the lowest qubit index. This hook lets
-// the stochastic router sample uniformly among shortest paths with a seeded
-// RNG while keeping the default deterministic.
+// ShortestPathAppend appends one shortest path from src to dst (inclusive)
+// onto buf. When several next hops give the same distance, prefer chooses
+// among the candidates (it receives the shared candidate list, which it must
+// not modify, and returns the chosen index); a nil prefer picks the lowest
+// qubit index. This hook lets the stochastic router sample uniformly among
+// shortest paths with a seeded RNG while keeping the default deterministic.
+// ok is false (and buf is returned unchanged) when dst is unreachable.
 //
 // The walk reads the distance oracle's candidate table, which stores next
-// hops in the exact adjacency order a per-query BFS enumerates them — prefer
-// sees identical candidate slices (shared; it must not modify them) and is
-// invoked the same number of times, so seeded tie-break streams are
-// bit-identical to a BFS walk's.
-func (g *Graph) ShortestPathTieBreak(src, dst int, prefer func(cands []int32) int) []int {
-	o := g.ensureOracle()
-	if src == dst {
-		return []int{src}
-	}
-	d := o.dist[src*g.n+dst]
-	if d < 0 {
-		return nil
-	}
-	path := make([]int, 0, d+1)
-	path, _ = g.appendShortestPath(path, src, dst, prefer)
-	return path
-}
-
-// ShortestPathAppend appends one shortest path from src to dst (inclusive)
-// onto buf, applying the same tie-break contract as ShortestPathTieBreak.
-// ok is false (and buf is returned unchanged) when dst is unreachable. It is
-// the allocation-free form the routers' scratch buffers use.
+// hops in the exact adjacency order a per-query BFS enumerates them, so
+// prefer sees the same candidate slices, as often, as on a BFS walk, and
+// seeded tie-break streams are bit-identical to it.
 func (g *Graph) ShortestPathAppend(buf []int, src, dst int, prefer func(cands []int32) int) (path []int, ok bool) {
 	if src == dst {
 		return append(buf, src), true
@@ -79,61 +52,6 @@ func (g *Graph) appendShortestPath(buf []int, src, dst int, prefer func(cands []
 		cur = int(next)
 	}
 	return buf, true
-}
-
-// WeightedPath computes a minimum-weight path from src to dst using Dijkstra
-// over per-edge weights supplied by weight(a, b). It backs the noise-aware
-// routing mode, where an edge's weight is -log of its CNOT success rate so
-// that the path weight is -log of the path's success probability.
-// Returns nil if dst is unreachable.
-//
-// This is the per-query form; routers that issue many queries against one
-// weight function should build a WeightedOracle instead, which produces
-// bit-identical paths from precomputed tables.
-func (g *Graph) WeightedPath(src, dst int, weight func(a, b int) float64) []int {
-	dist := make([]float64, g.n)
-	prev := make([]int, g.n)
-	done := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-	pq := pairHeap{{q: src, d: 0}}
-	for pq.Len() > 0 {
-		it := pq.pop()
-		if done[it.q] {
-			continue
-		}
-		done[it.q] = true
-		if it.q == dst {
-			break
-		}
-		for _, nb := range g.adj[it.q] {
-			w := weight(it.q, nb)
-			if w < 0 {
-				w = 0
-			}
-			if nd := dist[it.q] + w; nd < dist[nb] {
-				dist[nb] = nd
-				prev[nb] = it.q
-				pq.push(pair{q: nb, d: nd})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil
-	}
-	// Reconstruct.
-	var rev []int
-	for q := dst; q != -1; q = prev[q] {
-		rev = append(rev, q)
-	}
-	path := make([]int, len(rev))
-	for i, q := range rev {
-		path[len(rev)-1-i] = q
-	}
-	return path
 }
 
 type pair struct {

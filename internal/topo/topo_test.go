@@ -297,3 +297,26 @@ func TestRing(t *testing.T) {
 		t.Errorf("ring distances: %v", d)
 	}
 }
+
+// IsConnectedGraph reports whether every qubit is reachable from qubit 0.
+func (g *Graph) IsConnectedGraph() bool {
+	if g.n == 0 {
+		return true
+	}
+	seen := make([]bool, g.n)
+	stack := []int{0}
+	seen[0] = true
+	count := 1
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, nb := range g.adj[q] {
+			if !seen[nb] {
+				seen[nb] = true
+				count++
+				stack = append(stack, nb)
+			}
+		}
+	}
+	return count == g.n
+}
