@@ -39,8 +39,10 @@ fuzz-qasm:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendGate$$' -fuzztime 10s ./internal/qasm/
 
 # Confluence fuzz: random rule-application orders (seeded pop orders) must
-# saturate to the same final gate counts. The smoke test runs in `make
-# test`; this target fuzzes beyond the checked-in corpus.
+# saturate to the same final gate counts and the same lowered two-qubit
+# weight. Gate counts converge; two-qubit weight does not yet (circuit seed
+# -17 breaks it within a second), so this target fails and is not in CI.
+# The smoke test runs in `make test`; this target fuzzes beyond it.
 fuzz-rewrite:
 	$(GO) test -run '^$$' -fuzz FuzzConfluence -fuzztime 30s ./internal/rewrite/
 

@@ -10,6 +10,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -486,7 +487,10 @@ func (c *cancelAfter) Read(p []byte) (int, error) {
 }
 
 // TestStreamPipelinedCancelMidStream: cancelling the context while the
-// pipelined driver is mid-stream returns context.Canceled.
+// pipelined driver is mid-stream returns context.Canceled, and no stage
+// goroutine outlives the call. The compile runs under a goroutine label,
+// which every goroutine it starts inherits, so the goroutine profile shows
+// which stream goroutines are its own.
 func TestStreamPipelinedCancelMidStream(t *testing.T) {
 	src, err := qasm.Emit(mixedCircuitOpt(6, 20000, 9, false))
 	if err != nil {
@@ -496,8 +500,38 @@ func TestStreamPipelinedCancelMidStream(t *testing.T) {
 	defer cancel()
 	opts := StreamOptions{Window: 64, Parallel: true}
 	opts.Pipeline = TriosPipeline
-	err = streamWithin(t, ctx, &cancelAfter{r: strings.NewReader(src), n: len(src) / 4, cancel: cancel}, opts)
+	pprof.Do(ctx, pprof.Labels("test", t.Name()), func(ctx context.Context) {
+		err = streamWithin(t, ctx, &cancelAfter{r: strings.NewReader(src), n: len(src) / 4, cancel: cancel}, opts)
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	label := fmt.Sprintf("%q:%q", "test", t.Name())
+	deadline := time.Now().Add(time.Second)
+	for {
+		left := streamGoroutines(label)
+		if left == "" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stream goroutines still running 1s after StreamCompile returned:\n%s", left)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// streamGoroutines returns the goroutine profile records (debug=1 form)
+// that carry label and have a frame in package stream, or "" if none do.
+func streamGoroutines(label string) string {
+	var buf bytes.Buffer
+	if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+		return err.Error()
+	}
+	var found []string
+	for _, rec := range strings.Split(buf.String(), "\n\n") {
+		if strings.Contains(rec, label) && strings.Contains(rec, "trios/internal/stream.") {
+			found = append(found, rec)
+		}
+	}
+	return strings.Join(found, "\n\n")
 }

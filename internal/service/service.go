@@ -79,7 +79,9 @@ type Service struct {
 
 	// streamSem admission-controls /v1/compile/stream: streaming compiles
 	// bypass the job queue (each holds its connection for the whole compile)
-	// but share the worker-count parallelism budget.
+	// and take one of its own workers-many slots. The budget is separate
+	// from the compile pool's workers goroutines, so up to workers pool
+	// compiles and workers streams can run at once.
 	streamSem chan struct{}
 
 	// Write-behind machinery for the persistent tier: cold compiles enqueue

@@ -164,10 +164,12 @@ func (s *Service) handleCompileStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Admission: one slot per compile worker. Streaming compiles bypass the
-	// job queue (they hold a connection for their whole duration, so queueing
-	// them would just park connections), but they respect the same
-	// parallelism budget; overflow is shed immediately, like the queue's 429.
+	// Admission: streams take one of streamSem's workers-many slots, a
+	// budget of their own beside the compile pool's workers goroutines, so
+	// pool compiles and streams can run workers-many each at once. Streams
+	// bypass the job queue (they hold a connection for their whole duration,
+	// so queueing them would just park connections); overflow is shed
+	// immediately, like the queue's 429.
 	select {
 	case s.streamSem <- struct{}{}:
 		defer func() { <-s.streamSem }()
