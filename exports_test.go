@@ -149,7 +149,6 @@ type repoProgram struct {
 }
 
 type repoPackage struct {
-	dir   string
 	files []*ast.File
 	pkg   *types.Package // nil while it is being checked
 	info  *types.Info
@@ -255,7 +254,7 @@ func (l *repoLoader) load(path string) (*repoPackage, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &repoPackage{dir: dir}
+	p := &repoPackage{}
 	l.prog.pkgs[path] = p
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.prog.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
@@ -362,9 +361,6 @@ func (prog *repoProgram) interfaces() map[string][]*types.Interface {
 		}
 	}
 	for _, p := range prog.pkgs {
-		if p == nil {
-			continue
-		}
 		visit(p.pkg)
 		for expr, tv := range p.info.Types {
 			if _, ok := expr.(*ast.InterfaceType); ok {

@@ -77,7 +77,7 @@ func ParseFormat(s string) (Format, error) {
 // everything, so optional logging call sites need no guards. Loggers are
 // safe for concurrent use.
 type Logger struct {
-	mu    *sync.Mutex
+	mu    sync.Mutex
 	w     io.Writer
 	level Level
 	json  bool
@@ -85,7 +85,7 @@ type Logger struct {
 
 // NewLogger builds a logger writing to w at the given level and format.
 func NewLogger(w io.Writer, level Level, format Format) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, level: level, json: format == FormatJSON}
+	return &Logger{w: w, level: level, json: format == FormatJSON}
 }
 
 // Enabled reports whether a line at level would be written — the guard for
