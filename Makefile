@@ -40,9 +40,9 @@ fuzz-qasm:
 
 # Confluence fuzz: random rule-application orders (seeded pop orders) must
 # saturate to the same final gate counts and the same lowered two-qubit
-# weight. Gate counts converge; two-qubit weight does not yet (circuit seed
-# -17 breaks it within a second), so this target fails and is not in CI.
-# The smoke test runs in `make test`; this target fuzzes beyond it.
+# weight. Neither holds for every circuit yet (circuit seed -17 breaks the
+# weight within a second), so this target fails and is not in CI. The
+# smoke test runs in `make test`; this target fuzzes beyond it.
 fuzz-rewrite:
 	$(GO) test -run '^$$' -fuzz FuzzConfluence -fuzztime 30s ./internal/rewrite/
 

@@ -398,6 +398,8 @@ type (
 	return out
 }
 
+// implementsAny reports whether m's receiver type, or a pointer to it,
+// implements one of ifaces, each of which declares a method of m's name.
 func implementsAny(m *types.Func, ifaces []*types.Interface) bool {
 	recv := m.Type().(*types.Signature).Recv().Type()
 	if ptr, ok := recv.(*types.Pointer); ok {

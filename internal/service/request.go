@@ -117,8 +117,8 @@ func Resolve(req CompileRequest) (*JobSpec, error) {
 }
 
 // specKey is the artifact content address: "sha256:<hex>" over the canonical
-// QASM, device name, and option fingerprint (Options.CacheKey), so two
-// requests share an artifact exactly when they compile to the same bytes.
+// QASM, device name, and option fingerprint (Options.CacheKey), so requests
+// that share a key compile to the same bytes.
 func specKey(canon string, g *topo.Graph, opts compiler.Options) string {
 	h := sha256.New()
 	h.Write([]byte(canon))
