@@ -308,7 +308,7 @@ func TestProxyMetrics(t *testing.T) {
 	}
 }
 
-// Health exposes the checker (tests, health endpoint).
+// Health exposes the checker.
 func (p *Proxy) Health() *HealthChecker { return p.health }
 
 // Ring exposes the hash ring (tests).

@@ -401,18 +401,10 @@ func (g *Graph) ShortestPath(src, dst int) []int {
 	return g.ShortestPathTieBreak(src, dst, nil)
 }
 
-// ShortestPathTieBreak returns one shortest path from src to dst. When
-// several next hops give the same distance, prefer is consulted to choose
-// among candidate next hops (it receives the candidate list and returns the
-// chosen index); a nil prefer picks the lowest qubit index. This hook lets
-// the stochastic router sample uniformly among shortest paths with a seeded
-// RNG while keeping the default deterministic.
-//
-// The walk reads the distance oracle's candidate table, which stores next
-// hops in the exact adjacency order a per-query BFS enumerates them — prefer
-// sees identical candidate slices (shared; it must not modify them) and is
-// invoked the same number of times, so seeded tie-break streams are
-// bit-identical to a BFS walk's.
+// ShortestPathTieBreak returns one shortest path from src to dst, walking
+// the oracle's candidate table with ShortestPathAppend's tie-break contract
+// (prefer chooses among equal next hops; nil picks the lowest index). The
+// tests hold it to ShortestPathTieBreakBFS, the per-query BFS walk.
 func (g *Graph) ShortestPathTieBreak(src, dst int, prefer func(cands []int32) int) []int {
 	o := g.ensureOracle()
 	if src == dst {
@@ -428,14 +420,9 @@ func (g *Graph) ShortestPathTieBreak(src, dst int, prefer func(cands []int32) in
 }
 
 // WeightedPath computes a minimum-weight path from src to dst using Dijkstra
-// over per-edge weights supplied by weight(a, b). It backs the noise-aware
-// routing mode, where an edge's weight is -log of its CNOT success rate so
-// that the path weight is -log of the path's success probability.
-// Returns nil if dst is unreachable.
-//
-// This is the per-query form; routers that issue many queries against one
-// weight function should build a WeightedOracle instead, which produces
-// bit-identical paths from precomputed tables.
+// over per-edge weights supplied by weight(a, b), or nil if dst is
+// unreachable. It is the per-query reference that the WeightedOracle the
+// noise-aware routers build is held to, path for path.
 func (g *Graph) WeightedPath(src, dst int, weight func(a, b int) float64) []int {
 	dist := make([]float64, g.n)
 	prev := make([]int, g.n)
