@@ -11,9 +11,9 @@
 //
 // POST /v1/compile/stream compiles a raw OpenQASM 2.0 body of unbounded
 // length in fixed memory, streaming the compiled program back window by
-// window (options as query parameters; -stream-window sets the default
-// window size). The compile cache is bypassed (X-Trios-Cache: bypass) and a
-// final "// trios-stream:" comment carries the run's stats.
+// window (options as query parameters; ?window=N sets the window size). The
+// compile cache is bypassed (X-Trios-Cache: bypass) and a final
+// "// trios-stream:" comment carries the run's stats.
 //
 // With -store-dir the in-memory cache is backed by a disk-based,
 // content-addressed artifact store: cold compiles are written through and a
@@ -84,7 +84,6 @@ type serveConfig struct {
 	cacheSize     int
 	storeDir      string
 	storeMaxBytes int64
-	streamWindow  int
 	grace         time.Duration
 
 	logger *obs.Logger
@@ -112,7 +111,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 		cacheSize     = fs.Int("cache", 512, "compile cache capacity in artifacts")
 		storeDir      = fs.String("store-dir", "", "persistent artifact store directory ('' = memory-only; restarts are cold)")
 		storeMaxBytes = fs.Int64("store-max-bytes", store.DefaultMaxBytes, "artifact store byte budget; LRU entries beyond it are evicted")
-		streamWindow  = fs.Int("stream-window", 0, "default gate-window size for /v1/compile/stream (0 = built-in default; requests may override with ?window=N)")
 		grace         = fs.Duration("grace", 15*time.Second, "graceful-drain deadline on shutdown")
 		trace         = fs.Bool("trace", true, "record request span trees, served at /debug/traces")
 		logLevel      = fs.String("log-level", "info", "log level: debug, info, warn, error")
@@ -147,7 +145,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(net.Addr)
 		cacheSize:     *cacheSize,
 		storeDir:      *storeDir,
 		storeMaxBytes: *storeMaxBytes,
-		streamWindow:  *streamWindow,
 		grace:         *grace,
 		logger:        obs.NewLogger(os.Stderr, level, format),
 		ready:         ready,
@@ -176,7 +173,6 @@ func serve(ctx context.Context, cfg serveConfig) error {
 		Workers:      cfg.workers,
 		QueueDepth:   cfg.queue,
 		CacheEntries: cfg.cacheSize,
-		StreamWindow: cfg.streamWindow,
 		Store:        st,
 		Tracer:       cfg.tracer,
 		Logger:       logger,

@@ -41,7 +41,7 @@ func TestCompileEveryBenchmarkEverywhere(t *testing.T) {
 					t.Fatalf("%s on %s with %v: %v", b.Name, g.Name(), pipe, err)
 				}
 				// Schedulable and evaluable end to end.
-				if _, err := sched.ASAP(res.Physical, sched.JohannesburgTimes()); err != nil {
+				if _, err := sched.Run(res.Physical, sched.JohannesburgTimes()); err != nil {
 					t.Fatalf("%s on %s: %v", b.Name, g.Name(), err)
 				}
 				p, err := noise.SuccessProbability(res.Physical, noise.Johannesburg0819().Improved(20))

@@ -60,11 +60,11 @@ func TestCalibrationEndToEnd(t *testing.T) {
 			}
 			// And the makespan is the ASAP schedule under the calibration's
 			// own gate times — sched reads the same data.
-			d, err := sched.Duration(res.Physical, cal.Times)
+			clock, err := sched.Run(res.Physical, cal.Times)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Makespan != d {
+			if d := clock.Makespan(); res.Makespan != d {
 				t.Errorf("%s/%v: Makespan %v != sched %v", bench, pipe, res.Makespan, d)
 			}
 			if res.EstimatedSuccess <= 0 || res.EstimatedSuccess >= 1 {

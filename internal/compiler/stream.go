@@ -14,6 +14,7 @@ import (
 	"io"
 	"time"
 
+	"trios/internal/sched"
 	"trios/internal/stream"
 	"trios/internal/topo"
 )
@@ -44,7 +45,9 @@ type StreamResult struct {
 	Initial      []int
 	Final        []int
 	// ScheduledDuration is the ASAP makespan (us) of the emitted program,
-	// accumulated incrementally across windows.
+	// accumulated incrementally across windows, under the calibration's
+	// gate times (Johannesburg's without one). With a calibration and
+	// Optimize off it equals Compile's Makespan.
 	ScheduledDuration float64
 	// Passes sums each pass over all windows, between the reading
 	// (read:qasm) and the scheduling and emission (schedule:asap+emit) of
@@ -54,19 +57,28 @@ type StreamResult struct {
 	CostModel string
 }
 
-// StreamCompile compiles QASM from src to dst in bounded gate windows.
-// Restrictions vs Compile: only the Conventional and Trios pipelines with
-// the direct router are streamable (stochastic/lookahead routing and group
-// clustering are layer-based and need the whole circuit); no fidelity
-// estimate is computed (it is a whole-circuit property). Greedy placement
-// sees only the first window's interaction graph. Per-window trace spans
-// are recorded under the span in ctx, if any.
-func StreamCompile(ctx context.Context, src io.Reader, dst io.Writer, g *topo.Graph, opts StreamOptions) (*StreamResult, error) {
+// CheckStreamable reports why opts cannot be compiled window by window, or
+// nil if they can: only the Conventional and Trios pipelines with the
+// direct router stream (stochastic/lookahead routing and group clustering
+// are layer-based and need the whole circuit).
+func CheckStreamable(opts Options) error {
 	if opts.Pipeline != Conventional && opts.Pipeline != TriosPipeline {
-		return nil, fmt.Errorf("compiler: pipeline %v is not streamable; use Compile", opts.Pipeline)
+		return fmt.Errorf("pipeline %v is not streamable", opts.Pipeline)
 	}
 	if opts.Router != RouteDirect {
-		return nil, fmt.Errorf("compiler: router %v is not streamable (layer-based routers need the whole circuit); use Compile", opts.Router)
+		return fmt.Errorf("router %v is not streamable (layer-based routers need the whole circuit)", opts.Router)
+	}
+	return nil
+}
+
+// StreamCompile compiles QASM from src to dst in bounded gate windows.
+// Restrictions vs Compile: the options must pass CheckStreamable, and no
+// fidelity estimate is computed (it is a whole-circuit property). Greedy
+// placement sees only the first window's interaction graph. Per-window
+// trace spans are recorded under the span in ctx, if any.
+func StreamCompile(ctx context.Context, src io.Reader, dst io.Writer, g *topo.Graph, opts StreamOptions) (*StreamResult, error) {
+	if err := CheckStreamable(opts.Options); err != nil {
+		return nil, fmt.Errorf("compiler: %w; use Compile", err)
 	}
 	plan, err := planPasses(opts.Options)
 	if err != nil {
@@ -154,11 +166,13 @@ next:
 }
 
 // Begin runs the validation Compile runs, once the program's register size
-// is known, and gives every stage the resolved cost model.
-func (wc *windowed) Begin(n int) (int, error) {
+// is known, and gives every stage the resolved cost model. The output is
+// scheduled under the calibration's gate times, as FidelityPass schedules
+// Compile's, or under Johannesburg's when there is no calibration.
+func (wc *windowed) Begin(n int) (int, sched.GateTimes, error) {
 	cm, err := prepare(n, wc.g, wc.opts)
 	if err != nil {
-		return 0, err
+		return 0, sched.GateTimes{}, err
 	}
 	for _, s := range []*windowStage{&wc.front, &wc.route, &wc.back} {
 		s.ctx.Graph, s.ctx.Opts, s.ctx.Cost = wc.g, wc.opts, cm
@@ -166,7 +180,11 @@ func (wc *windowed) Begin(n int) (int, error) {
 	wc.res.InputQubits = n
 	wc.res.NumQubits = wc.g.NumQubits()
 	wc.res.CostModel = cm.Name()
-	return wc.g.NumQubits(), nil
+	times := sched.JohannesburgTimes()
+	if wc.opts.Calibration != nil {
+		times = wc.opts.Calibration.Times
+	}
+	return wc.g.NumQubits(), times, nil
 }
 
 func (wc *windowed) Decompose(w *stream.Window) error { return wc.front.run(w) }

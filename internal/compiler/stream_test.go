@@ -19,6 +19,7 @@ import (
 	"trios/internal/decompose"
 	"trios/internal/device"
 	"trios/internal/qasm"
+	"trios/internal/sched"
 	"trios/internal/sim"
 	"trios/internal/topo"
 )
@@ -77,7 +78,8 @@ func commutingRunCircuit(n int) *circuit.Circuit {
 	return c
 }
 
-// streamGolden compiles src both ways and requires byte-identity.
+// streamGolden compiles src both ways and requires byte-identity, and under
+// a calibration the same makespan.
 func streamGolden(t *testing.T, src string, g *topo.Graph, opts StreamOptions) *StreamResult {
 	t.Helper()
 	input, err := qasm.Parse(src)
@@ -115,6 +117,9 @@ func streamGolden(t *testing.T, src string, g *topo.Graph, opts StreamOptions) *
 	if res.EmittedGates != len(mono.Physical.Gates) {
 		t.Fatalf("EmittedGates %d != monolithic %d", res.EmittedGates, len(mono.Physical.Gates))
 	}
+	if opts.Calibration != nil && res.ScheduledDuration != mono.Makespan {
+		t.Fatalf("%s: ScheduledDuration %v != monolithic Makespan %v", opts.Calibration.Name, res.ScheduledDuration, mono.Makespan)
+	}
 	return res
 }
 
@@ -133,7 +138,9 @@ func clip(s string, i int) string {
 // test with optimization off: for every registry device, window sizes that
 // split the circuit at many different boundaries (including mid-commuting-
 // region), and both pipeline shapes, the stitched streaming output must be
-// byte-identical to the monolithic compile.
+// byte-identical to the monolithic compile. Every registry calibration,
+// given gate times other than Johannesburg's, must also give the stream
+// Compile's makespan.
 func TestStreamByteIdenticalAcrossDevices(t *testing.T) {
 	c := mixedCircuit(18, 10000, 11)
 	src, err := qasm.Emit(c)
@@ -151,6 +158,23 @@ func TestStreamByteIdenticalAcrossDevices(t *testing.T) {
 			opts.Seed = 1
 			streamGolden(t, src, g, opts)
 		}
+	}
+	for _, name := range device.Names() {
+		reg, err := device.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := topo.ByName(reg.Device)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal := reg.Clone()
+		cal.Times = sched.GateTimes{OneQubit: 0.05, TwoQubit: 0.3, Measure: 2}
+		opts := StreamOptions{Window: 1024}
+		opts.Pipeline = TriosPipeline
+		opts.Seed = 1
+		opts.Calibration = cal
+		streamGolden(t, src, g, opts)
 	}
 }
 

@@ -26,6 +26,7 @@ func SuccessWithCalibration(c *circuit.Circuit, cal *device.Calibration, mode Co
 	if c.NumQubits > cal.Qubits {
 		return 0, 0, fmt.Errorf("noise: circuit has %d qubits, calibration %s covers %d", c.NumQubits, cal.Name, cal.Qubits)
 	}
+	clock := sched.NewClock(c.NumQubits, cal.Times)
 	logP := 0.0
 	for i, g := range c.Gates {
 		switch {
@@ -47,24 +48,15 @@ func SuccessWithCalibration(c *circuit.Circuit, cal *device.Calibration, mode Co
 		default:
 			return 0, 0, fmt.Errorf("noise: gate %d (%v) not supported by the calibrated model; compile first", i, g.Name)
 		}
+		if err := clock.Add(g); err != nil {
+			return 0, 0, fmt.Errorf("gate %d: %w", i, err)
+		}
 	}
-	d, err := sched.Duration(c, cal.Times)
-	if err != nil {
-		return 0, 0, err
-	}
+	d := clock.Makespan()
 	exponent := 0.0
 	if mode == CoherencePerQubit {
-		used := make([]bool, c.NumQubits)
-		for _, g := range c.Gates {
-			if g.Name == circuit.Barrier {
-				continue
-			}
-			for _, q := range g.Qubits {
-				used[q] = true
-			}
-		}
-		for q, active := range used {
-			if active {
+		for q := 0; q < c.NumQubits; q++ {
+			if clock.Active(q) {
 				exponent += d/cal.T1[q] + d/cal.T2[q]
 			}
 		}

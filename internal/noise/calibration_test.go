@@ -87,12 +87,12 @@ func TestSuccessWithFlatCalibrationMatchesScalarModel(t *testing.T) {
 		if math.Abs(got-want) > 1e-12 {
 			t.Errorf("mode %v: calibrated %v != scalar %v", mode, got, want)
 		}
-		d, err := sched.Duration(c, cal.Times)
+		clock, err := sched.Run(c, cal.Times)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if makespan != d {
-			t.Errorf("makespan %v != sched duration %v", makespan, d)
+		if d := clock.Makespan(); makespan != d {
+			t.Errorf("makespan %v != sched makespan %v", makespan, d)
 		}
 	}
 }

@@ -108,14 +108,15 @@ func SuccessProbabilityEdges(c *circuit.Circuit, p Params, m *EdgeMap) (float64,
 			return 0, fmt.Errorf("noise: gate %d (%v) not supported by the per-edge model; compile first", i, g.Name)
 		}
 	}
-	d, err := sched.Duration(c, p.Times)
+	clock, err := sched.Run(c, p.Times)
 	if err != nil {
 		return 0, err
 	}
+	d := clock.Makespan()
 	logP += float64(oneQ)*math.Log(1-p.OneQubitError) + float64(meas)*math.Log(1-p.ReadoutError)
 	exponent := d/p.T1 + d/p.T2
 	if p.Coherence == CoherencePerQubit {
-		exponent *= float64(activeQubits(c))
+		exponent *= float64(activeQubits(clock, c.NumQubits))
 	}
 	return math.Exp(logP - exponent), nil
 }

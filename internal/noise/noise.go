@@ -80,81 +80,64 @@ func (p Params) Improved(factor float64) Params {
 	return q
 }
 
-// GateCounts tallies the error-relevant operations of a compiled circuit.
-type GateCounts struct {
-	OneQubit int
-	TwoQubit int
-	Measures int
-}
-
-// Count scans a compiled circuit. SWAPs count as 3 two-qubit gates; CCX/CCZ
-// as 8 two-qubit and 4 one-qubit gates (their linear decomposition) so that
-// estimates of partially-lowered circuits stay comparable.
-func Count(c *circuit.Circuit) GateCounts {
-	var gc GateCounts
-	for _, g := range c.Gates {
-		switch {
-		case g.Name == circuit.Barrier:
-		case g.Name == circuit.Measure:
-			gc.Measures++
-		case g.Name == circuit.SWAP:
-			gc.TwoQubit += 3
-		case g.Name == circuit.CCX || g.Name == circuit.CCZ:
-			gc.TwoQubit += 8
-			gc.OneQubit += 4
-		case g.Name == circuit.RCCX || g.Name == circuit.RCCXdg:
-			gc.TwoQubit += 3
-			gc.OneQubit += 4
-		case g.IsTwoQubit():
-			gc.TwoQubit++
-		case len(g.Qubits) == 1:
-			gc.OneQubit++
-		}
-	}
-	return gc
-}
-
 // SuccessProbability returns the paper's closed-form estimate of the chance
 // a single execution of the compiled circuit returns the correct answer:
 //
 //	(1-e1)^n1 * (1-e2)^n2 * (1-er)^nmeas * exp(-D/T1 - D/T2)
 //
-// where D is the ASAP makespan under the model's gate times.
+// where D is the ASAP makespan under the model's gate times. SWAPs count as
+// 3 two-qubit gates, CCX/CCZ as 8 two-qubit and 4 one-qubit gates (their
+// linear decomposition) and RCCX as 3 and 4, so that estimates of
+// partially-lowered circuits stay comparable.
 func SuccessProbability(c *circuit.Circuit, p Params) (float64, error) {
 	if p.T1 <= 0 || p.T2 <= 0 {
 		return 0, fmt.Errorf("noise: non-positive coherence time")
 	}
-	gc := Count(c)
-	d, err := sched.Duration(c, p.Times)
-	if err != nil {
-		return 0, err
+	clock := sched.NewClock(c.NumQubits, p.Times)
+	oneQ, twoQ, meas := 0, 0, 0
+	for i, g := range c.Gates {
+		if err := clock.Add(g); err != nil {
+			return 0, fmt.Errorf("gate %d: %w", i, err)
+		}
+		switch {
+		case g.Name == circuit.Barrier:
+		case g.Name == circuit.Measure:
+			meas++
+		case g.Name == circuit.SWAP:
+			twoQ += 3
+		case g.Name == circuit.CCX || g.Name == circuit.CCZ:
+			twoQ += 8
+			oneQ += 4
+		case g.Name == circuit.RCCX || g.Name == circuit.RCCXdg:
+			twoQ += 3
+			oneQ += 4
+		case g.IsTwoQubit():
+			twoQ++
+		case len(g.Qubits) == 1:
+			oneQ++
+		}
 	}
-	pGate := math.Pow(1-p.OneQubitError, float64(gc.OneQubit)) *
-		math.Pow(1-p.TwoQubitError, float64(gc.TwoQubit)) *
-		math.Pow(1-p.ReadoutError, float64(gc.Measures))
+	d := clock.Makespan()
+	pGate := math.Pow(1-p.OneQubitError, float64(oneQ)) *
+		math.Pow(1-p.TwoQubitError, float64(twoQ)) *
+		math.Pow(1-p.ReadoutError, float64(meas))
 	exponent := d/p.T1 + d/p.T2
 	if p.Coherence == CoherencePerQubit {
-		exponent *= float64(activeQubits(c))
+		exponent *= float64(activeQubits(clock, c.NumQubits))
 	}
 	return pGate * math.Exp(-exponent), nil
 }
 
-// activeQubits counts qubits touched by at least one non-barrier gate.
-func activeQubits(c *circuit.Circuit) int {
-	used := make([]bool, c.NumQubits)
-	n := 0
-	for _, g := range c.Gates {
-		if g.Name == circuit.Barrier {
-			continue
-		}
-		for _, q := range g.Qubits {
-			if !used[q] {
-				used[q] = true
-				n++
-			}
+// activeQubits counts the qubits of an n-qubit schedule that a non-barrier
+// gate touched.
+func activeQubits(clock *sched.Clock, n int) int {
+	active := 0
+	for q := 0; q < n; q++ {
+		if clock.Active(q) {
+			active++
 		}
 	}
-	return n
+	return active
 }
 
 // SampleSuccesses draws a shot count of Bernoulli trials at the analytic

@@ -40,15 +40,25 @@ func TestImprovedRejectsNonPositive(t *testing.T) {
 func TestCountSwapAndToffoliExpansion(t *testing.T) {
 	c := circuit.New(3)
 	c.H(0).CX(0, 1).SWAP(1, 2).CCX(0, 1, 2).Measure(0)
-	gc := Count(c)
-	if gc.TwoQubit != 1+3+8 {
-		t.Errorf("two-qubit = %d, want 12", gc.TwoQubit)
+	// Without decoherence and with one error rate at 1/2, the estimate is
+	// exactly 2^-n for the number n of operations of that kind.
+	count := func(p Params) float64 {
+		t.Helper()
+		p.T1, p.T2 = math.Inf(1), math.Inf(1)
+		prob, err := SuccessProbability(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return -math.Log2(prob)
 	}
-	if gc.OneQubit != 1+4 {
-		t.Errorf("one-qubit = %d, want 5", gc.OneQubit)
+	if n := count(Params{TwoQubitError: 0.5}); n != 1+3+8 {
+		t.Errorf("two-qubit = %v, want 12", n)
 	}
-	if gc.Measures != 1 {
-		t.Errorf("measures = %d", gc.Measures)
+	if n := count(Params{OneQubitError: 0.5}); n != 1+4 {
+		t.Errorf("one-qubit = %v, want 5", n)
+	}
+	if n := count(Params{ReadoutError: 0.5}); n != 1 {
+		t.Errorf("measures = %v, want 1", n)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package sched computes ASAP (as-soon-as-possible) schedules for compiled
-// circuits: per-gate start times and the total program duration, which feeds
-// the decoherence term of the paper's success-probability model (§2.6).
+// circuits: the makespan of a program, which feeds the decoherence term of
+// the paper's success-probability model (§2.6).
 package sched
 
 import (
@@ -50,64 +50,61 @@ func (t GateTimes) Duration(g circuit.Gate) (float64, error) {
 	}
 }
 
-// Schedule is an ASAP timing of a circuit.
-type Schedule struct {
-	// Start[i] is the start time (us) of gate i; barriers get their sync time.
-	Start []float64
-	// TotalDuration is the makespan in microseconds.
-	TotalDuration float64
-	// CriticalPathGates is the number of gates on one longest dependency
-	// chain (by duration).
-	CriticalPathGates int
+// Clock is an ASAP schedule fed one gate at a time: each gate starts at the
+// earliest time all its qubits are free, and barriers synchronize their
+// qubits at zero duration. It holds per-qubit state and the makespan only,
+// so a stream can schedule a program of any length window by window.
+type Clock struct {
+	times    GateTimes
+	free     []float64 // when each qubit is next free (us)
+	active   []bool    // touched by a non-barrier gate
+	makespan float64
 }
 
-// ASAP schedules every gate at the earliest time all its qubits are free.
-// Barriers synchronize their qubits at zero duration.
-func ASAP(c *circuit.Circuit, times GateTimes) (*Schedule, error) {
-	avail := make([]float64, c.NumQubits)
-	chain := make([]int, c.NumQubits) // gates on the critical chain per qubit
-	s := &Schedule{Start: make([]float64, len(c.Gates))}
-	maxChain := 0
-	for i, g := range c.Gates {
-		start := 0.0
-		depth := 0
-		for _, q := range g.Qubits {
-			if avail[q] > start {
-				start = avail[q]
-			}
-			if chain[q] > depth {
-				depth = chain[q]
-			}
+// NewClock returns an empty schedule over n qubits under times.
+func NewClock(n int, times GateTimes) *Clock {
+	return &Clock{times: times, free: make([]float64, n), active: make([]bool, n)}
+}
+
+// Add schedules g after every gate added before it.
+func (k *Clock) Add(g circuit.Gate) error {
+	d, err := k.times.Duration(g)
+	if err != nil {
+		return err
+	}
+	start := 0.0
+	for _, q := range g.Qubits {
+		if k.free[q] > start {
+			start = k.free[q]
 		}
-		d, err := times.Duration(g)
-		if err != nil {
+	}
+	end := start + d
+	for _, q := range g.Qubits {
+		k.free[q] = end
+		if g.Name != circuit.Barrier {
+			k.active[q] = true
+		}
+	}
+	if end > k.makespan {
+		k.makespan = end
+	}
+	return nil
+}
+
+// Makespan is the time (us) at which the last gate added so far ends.
+func (k *Clock) Makespan() float64 { return k.makespan }
+
+// Active reports whether a non-barrier gate has touched qubit q.
+func (k *Clock) Active(q int) bool { return k.active[q] }
+
+// Run schedules every gate of c; an error names the index of the gate that
+// could not be timed.
+func Run(c *circuit.Circuit, times GateTimes) (*Clock, error) {
+	k := NewClock(c.NumQubits, times)
+	for i, g := range c.Gates {
+		if err := k.Add(g); err != nil {
 			return nil, fmt.Errorf("gate %d: %w", i, err)
 		}
-		s.Start[i] = start
-		end := start + d
-		if g.Name != circuit.Barrier {
-			depth++
-		}
-		for _, q := range g.Qubits {
-			avail[q] = end
-			chain[q] = depth
-		}
-		if end > s.TotalDuration {
-			s.TotalDuration = end
-		}
-		if depth > maxChain {
-			maxChain = depth
-		}
 	}
-	s.CriticalPathGates = maxChain
-	return s, nil
-}
-
-// Duration is a convenience wrapper returning only the makespan.
-func Duration(c *circuit.Circuit, times GateTimes) (float64, error) {
-	s, err := ASAP(c, times)
-	if err != nil {
-		return 0, err
-	}
-	return s.TotalDuration, nil
+	return k, nil
 }

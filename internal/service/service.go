@@ -33,10 +33,6 @@ type Config struct {
 	// the store for the daemon's lifetime; closing it remains the opener's
 	// job, after Close returns.
 	Store *store.Store
-	// StreamWindow is the default gate-window size for POST
-	// /v1/compile/stream (requests may override per-call with ?window=N;
-	// <= 0 means stream.DefaultWindow).
-	StreamWindow int
 	// Tracer, when non-nil, records a span tree per /v1/ request (cache probe,
 	// singleflight, queue wait, per-pass compile, write-behind flush) into an
 	// in-process ring served at GET /debug/traces. Nil disables tracing; every

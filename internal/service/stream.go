@@ -109,13 +109,10 @@ func (s *Service) resolveStreamQuery(q url.Values) (*JobSpec, compiler.StreamOpt
 	if err != nil {
 		return nil, compiler.StreamOptions{}, err
 	}
-	if opts.Pipeline != compiler.Conventional && opts.Pipeline != compiler.TriosPipeline {
-		return nil, compiler.StreamOptions{}, badRequest("pipeline %q is not streamable; use /v1/compile", orDefault(req.Pipeline, "trios"))
+	if err := compiler.CheckStreamable(opts); err != nil {
+		return nil, compiler.StreamOptions{}, badRequest("%v; use /v1/compile", err)
 	}
-	if opts.Router != compiler.RouteDirect {
-		return nil, compiler.StreamOptions{}, badRequest("router %q is not streamable; use /v1/compile", req.Router)
-	}
-	sopts := compiler.StreamOptions{Options: opts, Window: s.cfg.StreamWindow, Parallel: true}
+	sopts := compiler.StreamOptions{Options: opts, Window: stream.DefaultWindow, Parallel: true}
 	if v := q.Get("window"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n <= 0 {
@@ -221,9 +218,6 @@ func (s *Service) handleCompileStream(w http.ResponseWriter, r *http.Request) {
 		ScheduledDuration: res.ScheduledDuration,
 		CompileSeconds:    elapsed.Seconds(),
 		CostModel:         res.CostModel,
-	}
-	if stats.Window <= 0 {
-		stats.Window = stream.DefaultWindow
 	}
 	trailer, merr := json.Marshal(stats)
 	if merr != nil {

@@ -109,6 +109,7 @@ func TestHTTPStreamBadRequests(t *testing.T) {
 		"?topology=nosuch",
 		"?pipeline=groups",
 		"?router=stochastic",
+		"?router=lookahead",
 		"?window=0",
 		"?window=banana",
 		"?seed=banana",

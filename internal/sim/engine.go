@@ -13,14 +13,12 @@
 //     per-shot derived seeds, so results are deterministic for a fixed seed
 //     at any worker count.
 //
-// Every dispatch decision is counted in Stats, so tests (and operators) can
-// observe which backend a workload actually used.
+// A verification's Verdict names the backend that produced it.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"trios/internal/circuit"
 	"trios/internal/stab"
@@ -34,11 +32,6 @@ type Engine struct {
 	// trajectory shots. 0 means runtime.GOMAXPROCS(0). Results never depend
 	// on the value.
 	Workers int
-
-	denseVerifies atomic.Int64
-	stabVerifies  atomic.Int64
-	denseShots    atomic.Int64
-	stabShots     atomic.Int64
 }
 
 // workers resolves the effective worker count: Workers clamped to
@@ -104,7 +97,6 @@ func (e *Engine) VerifyCompiled(logical, physical *circuit.Circuit, nPhysical in
 	// The device register must also fit the backend: the logical circuit
 	// can be smaller than nPhysical.
 	if stabBE.Supports(sl) && stabBE.Supports(sp) && nPhysical >= 1 && nPhysical <= MaxStabilizerQubits {
-		e.stabVerifies.Add(1)
 		ok, err := e.stabCompiled(sl, sp, nPhysical, initial, final, trials, seed)
 		if err != nil {
 			return Verdict{}, err
@@ -114,7 +106,6 @@ func (e *Engine) VerifyCompiled(logical, physical *circuit.Circuit, nPhysical in
 	if nPhysical > MaxQubits {
 		return Verdict{}, fmt.Errorf("sim: non-Clifford circuit on %d qubits exceeds the dense backend's %d-qubit cap", nPhysical, MaxQubits)
 	}
-	e.denseVerifies.Add(1)
 	ok, err := e.denseCompiled(sl, sp, nPhysical, initial, final, trials, seed)
 	if err != nil {
 		return Verdict{}, err

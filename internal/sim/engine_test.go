@@ -10,28 +10,6 @@ import (
 	"trios/internal/stab"
 )
 
-// Stats is a snapshot of the engine's dispatch counters.
-type Stats struct {
-	// DenseVerifications and StabilizerVerifications count Verify /
-	// VerifyCompiled calls dispatched to each backend.
-	DenseVerifications      int64
-	StabilizerVerifications int64
-	// DenseShots and StabilizerShots count Monte-Carlo trajectories run on
-	// each backend.
-	DenseShots      int64
-	StabilizerShots int64
-}
-
-// Stats returns a snapshot of the dispatch counters.
-func (e *Engine) Stats() Stats {
-	return Stats{
-		DenseVerifications:      e.denseVerifies.Load(),
-		StabilizerVerifications: e.stabVerifies.Load(),
-		DenseShots:              e.denseShots.Load(),
-		StabilizerShots:         e.stabShots.Load(),
-	}
-}
-
 // randomCliffordCircuit builds a random Clifford circuit from the gate set
 // the classifier recognizes.
 func randomCliffordCircuit(rng *rand.Rand, n, gates int) *circuit.Circuit {
@@ -71,10 +49,6 @@ func TestEngineDispatchesCliffordToStabilizer(t *testing.T) {
 	if !v.Equivalent || v.Backend != "stabilizer" {
 		t.Errorf("verdict = %+v, want equivalent via stabilizer", v)
 	}
-	st := e.Stats()
-	if st.StabilizerVerifications != 1 || st.DenseVerifications != 0 {
-		t.Errorf("stats = %+v, want 1 stabilizer / 0 dense", st)
-	}
 
 	// One T gate forces the dense backend.
 	nb := b.Copy()
@@ -87,9 +61,6 @@ func TestEngineDispatchesCliffordToStabilizer(t *testing.T) {
 	}
 	if !v.Equivalent || v.Backend != "dense" {
 		t.Errorf("verdict = %+v, want equivalent via dense", v)
-	}
-	if st := e.Stats(); st.DenseVerifications != 1 {
-		t.Errorf("stats = %+v, want 1 dense verification", st)
 	}
 }
 
@@ -312,7 +283,6 @@ func (e *Engine) Verify(a, b *circuit.Circuit, trials int, seed int64) (Verdict,
 	sa, sb := a.StripPseudo(), b.StripPseudo()
 	stabBE := StabilizerBackend{}
 	if stabBE.Supports(sa) && stabBE.Supports(sb) {
-		e.stabVerifies.Add(1)
 		rng := rand.New(rand.NewSource(seed))
 		for t := 0; t < trials; t++ {
 			prep := randomStabilizerPrep(a.NumQubits, rng)
@@ -336,7 +306,6 @@ func (e *Engine) Verify(a, b *circuit.Circuit, trials int, seed int64) (Verdict,
 		return Verdict{Equivalent: true, Backend: "stabilizer"}, nil
 	}
 
-	e.denseVerifies.Add(1)
 	ok, err := e.denseEquivalent(sa, sb, trials, seed)
 	if err != nil {
 		return Verdict{}, err

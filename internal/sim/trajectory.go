@@ -73,10 +73,8 @@ func (e *Engine) MonteCarlo(c *circuit.Circuit, noise PauliNoise, expect, expect
 		return 0, err
 	}
 	var backend Backend = DenseBackend{}
-	shotCounter := &e.denseShots
 	if (StabilizerBackend{}).Supports(c.StripPseudo()) {
 		backend = StabilizerBackend{}
-		shotCounter = &e.stabShots
 	} else if c.NumQubits > MaxQubits {
 		return 0, fmt.Errorf("sim: non-Clifford circuit on %d qubits exceeds the dense backend's %d-qubit cap (Clifford circuits run on the stabilizer backend up to 64)", c.NumQubits, MaxQubits)
 	}
@@ -164,7 +162,6 @@ func (e *Engine) MonteCarlo(c *circuit.Circuit, noise PauliNoise, expect, expect
 	if firstErr != nil {
 		return 0, firstErr
 	}
-	shotCounter.Add(int64(shots))
 	return float64(successes.Load()) / float64(shots), nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"trios/internal/circuit"
 	"trios/internal/obs"
 	"trios/internal/qasm"
-	"trios/internal/sched"
 )
 
 // Serial compiles the QASM program read from src to dst in windows of size
@@ -128,7 +127,6 @@ func newRun(ctx context.Context, src io.Reader, dst io.Writer, size int, c Compi
 		out:    dst,
 		size:   size,
 		span:   obs.SpanFromContext(ctx),
-		times:  sched.JohannesburgTimes(),
 	}
 }
 

@@ -61,8 +61,9 @@ type Window struct {
 type Compiler interface {
 	// Begin is called once the input register is pinned to n qubits,
 	// before any window is compiled. It validates the program's shape and
-	// returns the width of the device register the output is emitted over.
-	Begin(n int) (int, error)
+	// returns the width of the device register the output is emitted over
+	// and the gate times the output is scheduled under.
+	Begin(n int) (int, sched.GateTimes, error)
 	// Decompose, Route and Lower are the compile stages, in order; each
 	// replaces w.Circuit with its output. Every stage sees every window in
 	// circuit order, one window at a time, so it may carry state from one
@@ -84,19 +85,18 @@ type run struct {
 	out    io.Writer
 	size   int
 	span   *obs.Span
-	times  sched.GateTimes
 
 	// Set by the read stage before the first window is released.
 	pinned  bool
 	n       int // input register size, fixed for the whole stream
 	width   int // device register size
+	times   sched.GateTimes
 	hasCreg bool
 	read    int // gates read so far
 
 	// Owned by the emit stage.
-	emitter  *qasm.Emitter
-	avail    []float64
-	makespan float64
+	emitter *qasm.Emitter
+	clock   *sched.Clock
 }
 
 // readWindow pulls up to r.size gates. done reports a clean end of stream.
@@ -137,7 +137,7 @@ func (r *run) pinRegister() error {
 	r.n = r.reader.NumQubits()
 	r.hasCreg = r.reader.HasCreg()
 	var err error
-	r.width, err = r.c.Begin(r.n)
+	r.width, r.times, err = r.c.Begin(r.n)
 	return err
 }
 
@@ -153,10 +153,9 @@ func compileStage(stage func(*Window) error, attr string) func(*Window) error {
 	}
 }
 
-// stageEmit advances the incremental ASAP schedule gate by gate (the same
-// fold sched.ASAP runs, with the per-qubit availability vector carried
-// across windows) and streams the window's gates to the output, flushing
-// at the window boundary so consumers see incremental delivery.
+// stageEmit feeds the window's gates to the ASAP clock, which carries the
+// schedule across windows, and streams them to the output in the same pass,
+// flushing at the window boundary so consumers see incremental delivery.
 func (r *run) stageEmit(w *Window) error {
 	start := time.Now()
 	if w.Index == 0 {
@@ -165,25 +164,11 @@ func (r *run) stageEmit(w *Window) error {
 			return fmt.Errorf("stream: %w", err)
 		}
 		r.emitter = e
-		r.avail = make([]float64, r.width)
+		r.clock = sched.NewClock(r.width, r.times)
 	}
 	for _, g := range w.Circuit.Gates {
-		gs := 0.0
-		for _, q := range g.Qubits {
-			if r.avail[q] > gs {
-				gs = r.avail[q]
-			}
-		}
-		d, err := r.times.Duration(g)
-		if err != nil {
+		if err := r.clock.Add(g); err != nil {
 			return fmt.Errorf("stream: window %d: %w", w.Index, err)
-		}
-		end := gs + d
-		for _, q := range g.Qubits {
-			r.avail[q] = end
-		}
-		if end > r.makespan {
-			r.makespan = end
 		}
 		if err := r.emitter.EmitGate(g); err != nil {
 			return fmt.Errorf("stream: window %d: %w", w.Index, err)
@@ -193,7 +178,7 @@ func (r *run) stageEmit(w *Window) error {
 		return fmt.Errorf("stream: window %d: %w", w.Index, err)
 	}
 	w.EmitTime = time.Since(start)
-	w.Makespan = r.makespan
+	w.Makespan = r.clock.Makespan()
 	w.span.SetAttr("gates.emitted", strconv.Itoa(len(w.Circuit.Gates)))
 	w.span.End()
 	r.c.Emitted(w)

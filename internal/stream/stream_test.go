@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"trios/internal/qasm"
+	"trios/internal/sched"
 )
 
 // passThrough is a Compiler whose stages leave every window as read, so
@@ -22,11 +23,11 @@ type passThrough struct {
 	emitted int
 }
 
-func (p *passThrough) Begin(n int) (int, error) {
+func (p *passThrough) Begin(n int) (int, sched.GateTimes, error) {
 	if n > p.width {
-		return 0, fmt.Errorf("needs %d qubits", n)
+		return 0, sched.GateTimes{}, fmt.Errorf("needs %d qubits", n)
 	}
-	return p.width, nil
+	return p.width, sched.JohannesburgTimes(), nil
 }
 
 func (p *passThrough) Decompose(w *Window) error { return nil }
