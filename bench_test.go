@@ -1,7 +1,8 @@
 // Benchmarks regenerating each table and figure of the paper's evaluation.
 // Each benchmark reports the headline metric of its artifact via
 // b.ReportMetric, so `go test -bench=. -benchmem` doubles as a results
-// summary (EXPERIMENTS.md records the paper-vs-measured comparison).
+// summary (`experiments -exp all` prints each figure beside the paper's
+// value, and cmd/experiments/testdata pins that output).
 package trios_test
 
 import (

@@ -1,24 +1,52 @@
 package main
 
 import (
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// buildExperiments compiles the binary once per test binary invocation.
-// main() here is flag.Parse-and-os.Exit shaped, so the smoke tests exercise
-// the real executable instead of refactoring the experiment driver.
+var (
+	buildOnce sync.Once
+	buildDir  string
+	builtBin  string
+	buildErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if buildDir != "" {
+		os.RemoveAll(buildDir)
+	}
+	os.Exit(code)
+}
+
+// buildExperiments compiles the binary once per test binary invocation and
+// shares it among the tests. main() here is flag.Parse-and-os.Exit shaped,
+// so the smoke tests exercise the real executable instead of refactoring
+// the experiment driver.
 func buildExperiments(t *testing.T) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "experiments")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	buildOnce.Do(func() {
+		if buildDir, buildErr = os.MkdirTemp("", "experiments-test-"); buildErr != nil {
+			return
+		}
+		bin := filepath.Join(buildDir, "experiments")
+		if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+			buildErr = fmt.Errorf("go build: %v\n%s", err, out)
+			return
+		}
+		builtBin = bin
+	})
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
-	return bin
+	return builtBin
 }
 
 // TestTable1Smoke compiles and runs the cheapest end-to-end experiment and

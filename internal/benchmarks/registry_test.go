@@ -31,8 +31,9 @@ func TestByName(t *testing.T) {
 // CNOT counts must match exactly for the constructions specified precisely
 // by their source papers; the two Gidney-blog constructions
 // (incrementer_borrowedbit, cnx_inplace) are reimplementations from the
-// construction idea and land at different absolute sizes — EXPERIMENTS.md
-// records both.
+// construction idea and land at different absolute sizes — `experiments
+// -exp table1` prints both beside the paper's, and cnx.go's doc comment
+// states the cnx_inplace-4 gap.
 func TestMeasureAgainstTable1(t *testing.T) {
 	exactToffoli := map[string]bool{
 		"cnx_dirty-11":        true,
