@@ -348,10 +348,16 @@ func (c *Circuit) CountName(n Name) int {
 // Depth returns the circuit depth: the length of the longest chain of gates
 // that share qubits. Barriers synchronize all their qubits but do not add
 // depth themselves.
-func (c *Circuit) Depth() int {
+func (c *Circuit) Depth() int { return c.moments(nil) }
+
+// moments folds the circuit's ASAP schedule and returns its depth: each gate
+// lands one moment past the latest moment on its qubits, and a barrier
+// takes that latest moment without adding one. at, when non-nil, sees each
+// gate's moment (from 1; a barrier on idle qubits sits at 0).
+func (c *Circuit) moments(at func(i, m int)) int {
 	level := make([]int, c.NumQubits)
 	depth := 0
-	for _, g := range c.Gates {
+	for i, g := range c.Gates {
 		d := 0
 		for _, q := range g.Qubits {
 			if level[q] > d {
@@ -366,6 +372,9 @@ func (c *Circuit) Depth() int {
 		}
 		if d > depth {
 			depth = d
+		}
+		if at != nil {
+			at(i, d)
 		}
 	}
 	return depth

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +92,46 @@ func TestDepth(t *testing.T) {
 	c2.H(0).H(1).H(2)
 	if d := c2.Depth(); d != 1 {
 		t.Errorf("parallel depth = %d, want 1", d)
+	}
+}
+
+// TestLayersRespectDependencies checks the moment fold behind Depth and
+// Draw: every gate lands after each earlier gate it shares a qubit with,
+// and gates on disjoint qubits share a moment.
+func TestLayersRespectDependencies(t *testing.T) {
+	c := New(3)
+	c.H(0).CX(0, 1).CX(1, 2).H(0)
+	moment := make([]int, len(c.Gates))
+	if depth := c.moments(func(i, m int) { moment[i] = m }); depth != 3 {
+		t.Fatalf("depth = %d, want 3", depth)
+	}
+	// The second h0 follows cx01 on qubit 0, so it joins cx12's moment.
+	if want := []int{1, 2, 3, 3}; !slices.Equal(moment, want) {
+		t.Fatalf("moments = %v, want %v", moment, want)
+	}
+	for i, g := range c.Gates {
+		for j := range i {
+			if moment[j] >= moment[i] && slices.ContainsFunc(g.Qubits, func(q int) bool { return slices.Contains(c.Gates[j].Qubits, q) }) {
+				t.Errorf("gate %d at moment %d not after gate %d at moment %d", i, moment[i], j, moment[j])
+			}
+		}
+	}
+}
+
+// TestLayersExcludeBarriers checks that a barrier orders the gates around
+// it without taking a moment, or a column of the drawing, of its own.
+func TestLayersExcludeBarriers(t *testing.T) {
+	c := New(2)
+	c.H(0).Barrier().H(1)
+	moment := make([]int, len(c.Gates))
+	if depth := c.moments(func(i, m int) { moment[i] = m }); depth != 2 {
+		t.Fatalf("depth = %d, want 2", depth)
+	}
+	if want := []int{1, 1, 2}; !slices.Equal(moment, want) {
+		t.Fatalf("moments = %v, want %v", moment, want)
+	}
+	if got, want := c.Draw(), "q0: ─H────\nq1: ────H─\n"; got != want {
+		t.Errorf("Draw =\n%s\nwant\n%s", got, want)
 	}
 }
 

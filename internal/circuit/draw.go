@@ -15,17 +15,18 @@ import (
 //	q2: ───X─T────
 //
 // Controls render as ●, X-targets as X, swaps as x, measures as M; other
-// gates use their mnemonic. Gates are placed into moments (columns) so
-// parallel gates share a column. Intended for small circuits; wide circuits
+// gates use their mnemonic. Gates are placed into moments (columns, the
+// schedule Depth folds) so parallel gates share a column. Intended for small circuits; wide circuits
 // produce long lines.
 func (c *Circuit) Draw() string {
-	layers := BuildDAG(c).Layers()
 	if c.NumQubits == 0 {
 		return ""
 	}
+	// Each gate draws in the column of its moment; barriers draw nothing.
 	// cells[q][col] is the symbol for qubit q at column col; vert[q][col]
 	// marks a vertical connector passing between q and q+1 at column col.
-	cols := len(layers)
+	moment := make([]int, len(c.Gates))
+	cols := c.moments(func(i, m int) { moment[i] = m })
 	cells := make([][]string, c.NumQubits)
 	vert := make([][]bool, c.NumQubits)
 	width := make([]int, cols)
@@ -33,27 +34,30 @@ func (c *Circuit) Draw() string {
 		cells[q] = make([]string, cols)
 		vert[q] = make([]bool, cols)
 	}
-	for col, layer := range layers {
+	for col := range width {
 		width[col] = 1
-		for _, gi := range layer {
-			g := c.Gates[gi]
-			lo, hi := g.Qubits[0], g.Qubits[0]
-			for _, q := range g.Qubits {
-				if q < lo {
-					lo = q
-				}
-				if q > hi {
-					hi = q
-				}
+	}
+	for i, g := range c.Gates {
+		if g.Name == Barrier {
+			continue
+		}
+		col := moment[i] - 1
+		lo, hi := g.Qubits[0], g.Qubits[0]
+		for _, q := range g.Qubits {
+			if q < lo {
+				lo = q
 			}
-			for q := lo; q < hi; q++ {
-				vert[q][col] = true
+			if q > hi {
+				hi = q
 			}
-			for i, q := range g.Qubits {
-				cells[q][col] = gateSymbol(g, i)
-				if w := len(cells[q][col]); w > width[col] {
-					width[col] = w
-				}
+		}
+		for q := lo; q < hi; q++ {
+			vert[q][col] = true
+		}
+		for k, q := range g.Qubits {
+			cells[q][col] = gateSymbol(g, k)
+			if w := len(cells[q][col]); w > width[col] {
+				width[col] = w
 			}
 		}
 	}
@@ -130,8 +134,6 @@ func gateSymbol(g Gate, i int) string {
 		return "x"
 	case Measure:
 		return "M"
-	case Barrier:
-		return "░"
 	default:
 		s := strings.ToUpper(g.Name.String())
 		if len(g.Params) > 0 {

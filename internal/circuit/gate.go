@@ -1,5 +1,6 @@
 // Package circuit defines the intermediate representation used by the Trios
-// compiler: quantum gates, circuits, and structural views (DAG, moments).
+// compiler: quantum gates, circuits, and their moments (the ASAP
+// schedule behind Depth and Draw).
 //
 // A Circuit is an ordered list of Gates applied to qubits identified by
 // small integer indices. The representation is deliberately close to

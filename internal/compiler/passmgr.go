@@ -286,7 +286,7 @@ func RoutePass(trioAware bool) Pass {
 }
 
 // incremental is a router that can route a circuit window by window
-// (route.Baseline and route.Trios).
+// (route.Baseline, route.Trios and route.Groups).
 type incremental interface {
 	Begin(g *topo.Graph, initial *layout.Layout) (*route.Session, error)
 }

@@ -33,28 +33,39 @@ func swapSel(p, e0, e1, x int) int {
 	return p ^ (x & (eqMask(p, e0) | eqMask(p, e1)))
 }
 
-// winDelta is one window entry's score change under the hypothetical swap
-// (e0, e1): the entry's cost with operands mapped through the swap, minus
-// its cached at-rest term. The trio arm is the same meeting-point min-sum
-// (sign-mask min, strict <, first wins ties) as the full sweep. The caller
-// only uses this when every term is exact in float64, so baseline + delta
-// reproduces the full window sum bit for bit.
-func winDelta(wg *winGate, term float64, pairC, trioC []float64, trioAdj float64, nq, e0, e1, x int) float64 {
+// slabCosts are the lookahead sweep's gate-cost slabs over physical
+// positions (index a*nq+b): pair is a two-qubit gate's remaining routing
+// cost, and trio feeds the meeting-point min-sum, less trioAdj.
+type slabCosts struct {
+	pair, trio []float64
+	trioAdj    float64
+	nq         int
+}
+
+// score is the window gate's weighted routing cost with its operands
+// mapped through the hypothetical swap (e0, e1), x = e0^e1; x = 0 scores it
+// at rest. A trio costs its meeting-point min-sum: the least, over its
+// operands, of the summed cost from that operand to all three (sign-mask
+// min, strict <, first wins ties). The explicit conversions round the
+// weighted cost, so no platform fuses it into the caller's running sum.
+func (wg *winGate) score(c *slabCosts, e0, e1, x int) float64 {
+	nq := c.nq
 	p0 := swapSel(wg.p0, e0, e1, x)
 	p1 := swapSel(wg.p1, e0, e1, x)
 	if wg.arity == 2 {
-		return wg.w*pairC[p0*nq+p1] - term
+		return float64(wg.w * c.pair[p0*nq+p1])
 	}
 	p2 := swapSel(wg.p2, e0, e1, x)
-	s0 := trioC[p0*nq+p0] + trioC[p0*nq+p1] + trioC[p0*nq+p2]
-	s1 := trioC[p1*nq+p0] + trioC[p1*nq+p1] + trioC[p1*nq+p2]
-	s2 := trioC[p2*nq+p0] + trioC[p2*nq+p1] + trioC[p2*nq+p2]
+	t := c.trio
+	s0 := t[p0*nq+p0] + t[p0*nq+p1] + t[p0*nq+p2]
+	s1 := t[p1*nq+p0] + t[p1*nq+p1] + t[p1*nq+p2]
+	s2 := t[p2*nq+p0] + t[p2*nq+p1] + t[p2*nq+p2]
 	m1 := uint64(int64(math.Float64bits(s1-s0)) >> 63)
 	b01 := math.Float64bits(s1)&m1 | math.Float64bits(s0)&^m1
 	f01 := math.Float64frombits(b01)
 	m2 := uint64(int64(math.Float64bits(s2-f01)) >> 63)
 	best := math.Float64frombits(math.Float64bits(s2)&m2 | b01&^m2)
-	return wg.w*(best-trioAdj) - term
+	return float64(wg.w * (best - c.trioAdj))
 }
 
 // appendWinGate captures one window gate's scoring shape for the lookahead

@@ -20,38 +20,9 @@ type Groups struct {
 }
 
 // Route implements Router. One- and two-qubit gates route like the
-// baseline; CCX and MCX route as groups.
+// baseline; CCX and MCX route as groups. It is a one-window session.
 func (t *Groups) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.Layout) (*Result, error) {
-	s, err := newState(g, initial, t.Seed, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	for i, gate := range c.Gates {
-		switch {
-		case gate.Name == circuit.Barrier:
-			s.emitMapped(gate)
-		case len(gate.Qubits) == 1:
-			s.emitMapped(gate)
-		case len(gate.Qubits) == 2:
-			if err := s.routePair(gate.Qubits[0], gate.Qubits[1]); err != nil {
-				return nil, fmt.Errorf("route: gate %d: %w", i, err)
-			}
-			s.emitMapped(gate)
-		case gate.Name == circuit.RCCX || gate.Name == circuit.RCCXdg:
-			if err := s.routeTrioRole(gate.Qubits[0], gate.Qubits[1], gate.Qubits[2], gate.Qubits[2]); err != nil {
-				return nil, fmt.Errorf("route: gate %d: %w", i, err)
-			}
-			s.emitMapped(gate)
-		case gate.Name == circuit.CCX || gate.Name == circuit.MCX:
-			if err := s.routeGroup(gate.Qubits); err != nil {
-				return nil, fmt.Errorf("route: gate %d: %w", i, err)
-			}
-			s.emitMapped(gate)
-		default:
-			return nil, fmt.Errorf("route: groups router cannot handle gate %v (gate %d)", gate.Name, i)
-		}
-	}
-	return s.result(), nil
+	return routeWhole(t, c, g, initial)
 }
 
 // routeGroup brings all virtual qubits into a connected cluster on the

@@ -22,10 +22,6 @@ import (
 // meeting-point distance and are emitted once their trio is connected.
 type Lookahead struct {
 	Seed int64
-	// Window is the extended-set size (default 20 upcoming gates).
-	Window int
-	// ExtendedWeight scales the extended set's contribution (default 0.5).
-	ExtendedWeight float64
 	// TrioAware enables CCX routing for the Trios pipeline.
 	TrioAware bool
 	// Weight, when non-nil, makes swap scoring noise-aware: gate costs are
@@ -38,9 +34,17 @@ type Lookahead struct {
 	Oracle *topo.WeightedOracle
 }
 
+// The scoring window: the first lookaheadWindow multi-qubit gates not yet
+// run, the ready ones (the front layer) at weight 1 and the rest (the
+// extended set) at extendedWeight.
+const (
+	lookaheadWindow = 20
+	extendedWeight  = 0.5
+)
+
 // winGate is one window gate's scoring shape, captured once per blocked
 // iteration: pre-resolved physical operands plus the accumulation weight
-// (1 for the front layer, ExtendedWeight for the extended set).
+// (1 for the front layer, extendedWeight for the extended set).
 type winGate struct {
 	w          float64
 	arity      int
@@ -49,34 +53,17 @@ type winGate struct {
 
 // Route implements Router.
 //
-// The scheduler is a DAG ready-queue frontier: gates enter a sorted ready
-// list when their last predecessor completes, executable ones drain in
-// ascending gate order (a gate's successors always sit later in program
-// order, so this is the order a full sweep to fixpoint would execute them),
-// and window collection scans from the first undone gate. Swap scoring walks
-// only the window gates, each cost an O(1) distance-table lookup,
-// accumulating front layer first, then the extended set, in program order.
+// The frontier runs every executable gate; window collection then scans
+// from the first gate not yet run. Swap scoring walks only the window
+// gates, each cost an O(1) distance-table lookup, accumulating front layer
+// first, then the extended set, in program order.
 func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.Layout) (*Result, error) {
-	window := lk.Window
-	if window <= 0 {
-		window = 20
-	}
-	extWeight := lk.ExtendedWeight
-	if extWeight <= 0 {
-		extWeight = 0.5
-	}
 	s, err := newState(g, initial, lk.Seed, lk.Weight, lk.Oracle)
 	if err != nil {
 		return nil, err
 	}
-	dag := circuit.BuildDAG(c)
+	f := newFrontier(c)
 	n := len(c.Gates)
-	done := make([]bool, n)
-	remaining := make([]int, n)
-	for i := range dag.Preds {
-		remaining[i] = len(dag.Preds[i])
-	}
-	completed := 0
 	tab := g.DistTable()
 	d, nq := tab.Slab(), tab.NumQubits()
 	var worc *topo.WeightedOracle
@@ -85,35 +72,33 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 	}
 	edges := g.EdgeList()
 
-	// Cost slabs for the branchless sweep: pairC[a*nq+b] is a 2q gate's
+	// Cost slabs for the branchless sweep: pair[a*nq+b] is a 2q gate's
 	// remaining routing cost with operands at (a, b) — hops-to-adjacent, or
 	// in noise-aware mode the -log success of the movement plus the landing
-	// coupler; trioC feeds the 3q meeting-point min-sum, whose unweighted
+	// coupler; trio feeds the 3q meeting-point min-sum, whose unweighted
 	// form subtracts trioAdj at the end. Building them once turns every
-	// per-candidate gate cost into one multiply-add load with no
-	// weighted/unweighted branch in the sweep. (Unweighted sums stay exact
-	// in float64: hop counts are tiny ints.)
-	pairC := make([]float64, nq*nq)
-	trioC := make([]float64, nq*nq)
-	trioAdj := 0.0
+	// per-candidate gate cost into one load with no weighted/unweighted
+	// branch in the sweep. (Unweighted sums stay exact in float64: hop
+	// counts are tiny ints.)
+	cost := slabCosts{pair: make([]float64, nq*nq), trio: make([]float64, nq*nq), nq: nq}
 	if worc != nil {
-		copy(pairC, worc.Slab())
-		copy(trioC, worc.Slab())
+		copy(cost.pair, worc.Slab())
+		copy(cost.trio, worc.Slab())
 	} else {
 		for i, h := range d {
-			pairC[i] = float64(h - 1)
-			trioC[i] = float64(h)
+			cost.pair[i] = float64(h - 1)
+			cost.trio[i] = float64(h)
 		}
-		trioAdj = 2
+		cost.trioAdj = 2
 	}
 
 	// Window delta-scoring state, used when every score term is exact in
-	// float64: unweighted costs are small integers and the default extended
-	// weight 0.5 keeps each term and every partial sum a dyadic rational, so
-	// "baseline + delta over the gates a swap touches" reproduces the full
-	// window sum bit for bit while doing a fraction of its work. Any other
-	// weighting falls back to the full branchless sweep below.
-	deltaOK := worc == nil && extWeight == 0.5
+	// float64: unweighted costs are small integers and extendedWeight 0.5
+	// keeps each term and every partial sum a dyadic rational, so "baseline
+	// + delta over the gates a swap touches" reproduces the full window sum
+	// bit for bit while doing a fraction of its work. Weighted costs take
+	// the full branchless sweep below.
+	deltaOK := worc == nil
 	var (
 		winTerm  []float64 // per window entry: weight * cost at rest
 		winAt    [][]int32 // per physical qubit: window entries touching it
@@ -125,55 +110,6 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 		winMark = make([]int, nq)
 	}
 
-	// Ready frontier: undone gates whose predecessors have all executed,
-	// kept in ascending gate order.
-	ready := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if remaining[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	insertReady := func(idx int) {
-		lo, hi := 0, len(ready)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if ready[mid] < idx {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		ready = append(ready, 0)
-		copy(ready[lo+1:], ready[lo:])
-		ready[lo] = idx
-	}
-	markDone := func(i int) {
-		done[i] = true
-		completed++
-		for _, succ := range dag.Succs[i] {
-			remaining[succ]--
-			if remaining[succ] == 0 {
-				insertReady(succ)
-			}
-		}
-	}
-
-	executable := func(gate circuit.Gate) bool {
-		switch {
-		case gate.Name == circuit.Barrier || len(gate.Qubits) == 1:
-			return true
-		case len(gate.Qubits) == 2:
-			return g.Connected(s.l.Phys(gate.Qubits[0]), s.l.Phys(gate.Qubits[1]))
-		case trioGate(gate.Name) && lk.TrioAware:
-			target := -1
-			if gate.Name != circuit.CCX {
-				target = s.l.Phys(gate.Qubits[2])
-			}
-			return s.trioPlaced(s.l.Phys(gate.Qubits[0]), s.l.Phys(gate.Qubits[1]), s.l.Phys(gate.Qubits[2]), target)
-		}
-		return false
-	}
-
 	lastSwap := [2]int{-1, -1}
 	// stall counts swaps since the last executed gate; past the budget the
 	// router abandons scoring and routes the first front gate directly,
@@ -181,62 +117,62 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 	stall := 0
 	stallBudget := 2 * g.NumQubits()
 
-	// executeReady drains every executable frontier gate in ascending order.
-	// Executing a gate can only ready later gates (successors follow their
-	// predecessors in program order), so newly readied indices are inserted
-	// at or after the cursor and a single forward pass reaches the same
-	// fixpoint as repeated sweeps.
-	executeReady := func() error {
-		for k := 0; k < len(ready); {
-			i := ready[k]
-			gate := c.Gates[i]
-			if len(gate.Qubits) > 2 && !trioGate(gate.Name) && gate.Name != circuit.Barrier {
-				return fmt.Errorf("route: lookahead router cannot handle gate %v (gate %d)", gate.Name, i)
+	// run emits a ready gate whose operands already sit where the device
+	// can run it. Running a gate moves no qubit, so no gate it passes over
+	// can become executable until the next swap.
+	run := func(i int) (bool, error) {
+		gate := c.Gates[i]
+		switch q := gate.Qubits; {
+		case gate.Name == circuit.Barrier || len(q) == 1:
+		case len(q) == 2:
+			if !g.Connected(s.l.Phys(q[0]), s.l.Phys(q[1])) {
+				return false, nil
 			}
-			if trioGate(gate.Name) && !lk.TrioAware {
-				return fmt.Errorf("route: lookahead router needs TrioAware for %v (gate %d)", gate.Name, i)
+		case trioGate(gate.Name) && lk.TrioAware:
+			if !s.trioReady(gate) {
+				return false, nil
 			}
-			if executable(gate) {
-				s.emitMapped(gate)
-				ready = append(ready[:k], ready[k+1:]...)
-				markDone(i)
-				lastSwap = [2]int{-1, -1}
-				stall = 0
-			} else {
-				k++
-			}
+		case trioGate(gate.Name):
+			return false, fmt.Errorf("route: lookahead router needs TrioAware for %v (gate %d)", gate.Name, i)
+		case len(q) > 2:
+			return false, fmt.Errorf("route: lookahead router cannot handle gate %v (gate %d)", gate.Name, i)
+		default:
+			return false, nil
 		}
-		return nil
+		s.emitMapped(gate)
+		lastSwap = [2]int{-1, -1}
+		stall = 0
+		return true, nil
 	}
 
-	head := 0 // every gate below head is done
+	head := 0 // every gate below head has run
 	var front, extended []circuit.Gate
 	var win []winGate
 	involved := s.involved
-	for completed < n {
-		if err := executeReady(); err != nil {
+	for {
+		if err := f.drain(run); err != nil {
 			return nil, err
 		}
-		if completed == n {
-			break
+		if f.left == 0 {
+			return s.result(), nil
 		}
 
 		// Collect the blocked front layer and the extended window, scanning
-		// from the first undone gate.
-		for head < n && done[head] {
+		// from the first gate not yet run.
+		for head < n && f.done[head] {
 			head++
 		}
 		front, extended = front[:0], extended[:0]
 		count := 0
-		for i := head; i < n && count < window; i++ {
-			if done[i] {
+		for i := head; i < n && count < lookaheadWindow; i++ {
+			if f.done[i] {
 				continue
 			}
 			gate := c.Gates[i]
 			if len(gate.Qubits) < 2 || gate.Name == circuit.Barrier {
 				continue
 			}
-			if remaining[i] == 0 {
+			if f.pending[i] == 0 {
 				front = append(front, gate)
 			} else {
 				extended = append(extended, gate)
@@ -256,11 +192,7 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 					return nil, err
 				}
 			case 3:
-				target := -1
-				if gate.Name != circuit.CCX {
-					target = gate.Qubits[2]
-				}
-				if err := s.routeTrioRole(gate.Qubits[0], gate.Qubits[1], gate.Qubits[2], target); err != nil {
+				if err := s.routeTrio(gate); err != nil {
 					return nil, err
 				}
 			}
@@ -278,11 +210,9 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 				involved[s.l.Phys(q)] = true
 			}
 		}
-		bestEdge := [2]int{-1, -1}
-		bestScore := 1e18
 		// Branchless sweep. Window operands are resolved to physical qubits
 		// once (the layout is fixed while scoring), in accumulation order:
-		// front layer at weight 1, then the extended set at ExtendedWeight.
+		// front layer at weight 1, then the extended set at extendedWeight.
 		// Each candidate maps every operand through the hypothetical swap
 		// with xor/mask arithmetic instead of mutating the layout, reads its
 		// cost from the flat slab, and feeds a sign-mask best-select — no
@@ -293,9 +223,10 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 			win = appendWinGate(win, s, gate, 1)
 		}
 		for _, gate := range extended {
-			win = appendWinGate(win, s, gate, extWeight)
+			win = appendWinGate(win, s, gate, extendedWeight)
 		}
 		bestIdx := -1
+		bestScore := 1e18
 		bb := math.Float64bits(bestScore)
 		if deltaOK {
 			// Baseline pass: score every window gate once at its current
@@ -310,21 +241,7 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 			score0 := 0.0
 			for wi := range win {
 				wg := &win[wi]
-				var cost float64
-				if wg.arity == 2 {
-					cost = pairC[wg.p0*nq+wg.p1]
-				} else {
-					s0 := trioC[wg.p0*nq+wg.p0] + trioC[wg.p0*nq+wg.p1] + trioC[wg.p0*nq+wg.p2]
-					s1 := trioC[wg.p1*nq+wg.p0] + trioC[wg.p1*nq+wg.p1] + trioC[wg.p1*nq+wg.p2]
-					s2 := trioC[wg.p2*nq+wg.p0] + trioC[wg.p2*nq+wg.p1] + trioC[wg.p2*nq+wg.p2]
-					m1 := uint64(int64(math.Float64bits(s1-s0)) >> 63)
-					b01 := math.Float64bits(s1)&m1 | math.Float64bits(s0)&^m1
-					f01 := math.Float64frombits(b01)
-					m2 := uint64(int64(math.Float64bits(s2-f01)) >> 63)
-					best := math.Float64frombits(math.Float64bits(s2)&m2 | b01&^m2)
-					cost = best - trioAdj
-				}
-				term := wg.w * cost
+				term := wg.score(&cost, 0, 0, 0)
 				winTerm[wi] = term
 				score0 += term
 				qs := [3]int{wg.p0, wg.p1, wg.p2}
@@ -348,8 +265,7 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 				delta := 0.0
 				if winMark[e0] == winRound {
 					for _, wi := range winAt[e0] {
-						wg := &win[wi]
-						delta += winDelta(wg, winTerm[wi], pairC, trioC, trioAdj, nq, e0, e1, x)
+						delta += win[wi].score(&cost, e0, e1, x) - winTerm[wi]
 					}
 				}
 				if winMark[e1] == winRound {
@@ -360,7 +276,7 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 						// touch mask instead of branching.
 						am := eqMask(wg.arity, 3)
 						t0 := eqMask(wg.p0, e0) | eqMask(wg.p1, e0) | eqMask(wg.p2, e0)&am
-						dd := winDelta(wg, winTerm[wi], pairC, trioC, trioAdj, nq, e0, e1, x)
+						dd := wg.score(&cost, e0, e1, x) - winTerm[wi]
 						delta += math.Float64frombits(math.Float64bits(dd) &^ uint64(int64(t0)))
 					}
 				}
@@ -382,25 +298,8 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 				e0, e1 := e[0], e[1]
 				x := e0 ^ e1
 				score := 0.0
-				for _, wg := range win {
-					p0 := swapSel(wg.p0, e0, e1, x)
-					p1 := swapSel(wg.p1, e0, e1, x)
-					if wg.arity == 2 {
-						score += wg.w * pairC[p0*nq+p1]
-						continue
-					}
-					p2 := swapSel(wg.p2, e0, e1, x)
-					// Meeting-point min-sum over the three operands, with a
-					// sign-mask min (strict <, first wins ties).
-					s0 := trioC[p0*nq+p0] + trioC[p0*nq+p1] + trioC[p0*nq+p2]
-					s1 := trioC[p1*nq+p0] + trioC[p1*nq+p1] + trioC[p1*nq+p2]
-					s2 := trioC[p2*nq+p0] + trioC[p2*nq+p1] + trioC[p2*nq+p2]
-					m1 := uint64(int64(math.Float64bits(s1-s0)) >> 63)
-					b01 := math.Float64bits(s1)&m1 | math.Float64bits(s0)&^m1
-					f01 := math.Float64frombits(b01)
-					m2 := uint64(int64(math.Float64bits(s2-f01)) >> 63)
-					best := math.Float64frombits(math.Float64bits(s2)&m2 | b01&^m2)
-					score += wg.w * (best - trioAdj)
+				for wi := range win {
+					score += win[wi].score(&cost, e0, e1, x)
 				}
 				m := int(int64(math.Float64bits(score-bestScore)) >> 63)
 				um := uint64(m)
@@ -409,17 +308,14 @@ func (lk *Lookahead) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 				bestIdx = idx&m | bestIdx&^m
 			}
 		}
-		if bestIdx >= 0 {
-			bestEdge = edges[bestIdx]
-		}
-		if bestEdge[0] < 0 {
+		if bestIdx < 0 {
 			return nil, fmt.Errorf("route: no candidate swap for blocked layer")
 		}
+		bestEdge := edges[bestIdx]
 		s.out.SWAP(bestEdge[0], bestEdge[1])
 		s.l.SwapPhys(bestEdge[0], bestEdge[1])
 		s.swaps++
 		lastSwap = bestEdge
 		stall++
 	}
-	return s.result(), nil
 }

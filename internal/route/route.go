@@ -152,18 +152,9 @@ type Baseline struct {
 	Oracle *topo.WeightedOracle
 }
 
-// Route implements Router. It is a one-window session: the incremental
-// path (Begin/Feed/Finish) is the single implementation, so windowed and
-// monolithic routing cannot drift apart.
+// Route implements Router as a one-window session.
 func (b *Baseline) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.Layout) (*Result, error) {
-	ss, err := b.Begin(g, initial)
-	if err != nil {
-		return nil, err
-	}
-	if err := ss.Feed(c.Gates); err != nil {
-		return nil, err
-	}
-	return ss.Finish(), nil
+	return routeWhole(b, c, g, initial)
 }
 
 // routePair inserts SWAPs until virtual qubits va and vb are adjacent.

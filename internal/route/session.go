@@ -19,7 +19,7 @@ import (
 // retains only the layout and device-sized scratch, not the routed gates.
 type Session struct {
 	s    *state
-	step func(gate circuit.Gate, i int) error
+	wide wideGates
 	gate int
 	err  error
 }
@@ -30,9 +30,7 @@ func (b *Baseline) Begin(g *topo.Graph, initial *layout.Layout) (*Session, error
 	if err != nil {
 		return nil, err
 	}
-	return &Session{s: s, step: func(gate circuit.Gate, i int) error {
-		return baselineStep(s, gate, i)
-	}}, nil
+	return &Session{s: s, wide: pairGates}, nil
 }
 
 // Begin starts an incremental Trios-routing session.
@@ -41,9 +39,32 @@ func (t *Trios) Begin(g *topo.Graph, initial *layout.Layout) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{s: s, step: func(gate circuit.Gate, i int) error {
-		return triosStep(s, gate, i)
-	}}, nil
+	return &Session{s: s, wide: trioGates}, nil
+}
+
+// Begin starts an incremental Groups-routing session.
+func (t *Groups) Begin(g *topo.Graph, initial *layout.Layout) (*Session, error) {
+	s, err := newState(g, initial, t.Seed, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Session{s: s, wide: groupGates}, nil
+}
+
+// routeWhole routes c as the one window of a session r begins: Baseline,
+// Trios and Groups route through the incremental path only, so windowed
+// and monolithic routing cannot drift apart.
+func routeWhole(r interface {
+	Begin(*topo.Graph, *layout.Layout) (*Session, error)
+}, c *circuit.Circuit, g *topo.Graph, initial *layout.Layout) (*Result, error) {
+	ss, err := r.Begin(g, initial)
+	if err != nil {
+		return nil, err
+	}
+	if err := ss.Feed(c.Gates); err != nil {
+		return nil, err
+	}
+	return ss.Finish(), nil
 }
 
 // Feed routes the next window of gates. Gate indices in error messages are
@@ -54,7 +75,7 @@ func (ss *Session) Feed(gates []circuit.Gate) error {
 		return ss.err
 	}
 	for _, g := range gates {
-		if err := ss.step(g, ss.gate); err != nil {
+		if err := ss.s.step(g, ss.gate, ss.wide); err != nil {
 			ss.err = err
 			return err
 		}
@@ -83,51 +104,45 @@ func (ss *Session) Swaps() int { return ss.s.swaps }
 // (the whole routed circuit when Drain was never called, as in Route).
 func (ss *Session) Finish() *Result { return ss.s.result() }
 
-// baselineStep routes one gate the conventional pairwise way; i is the
-// absolute gate index, used only for error messages.
-func baselineStep(s *state, gate circuit.Gate, i int) error {
-	switch {
-	case gate.Name == circuit.Barrier:
-		s.emitMapped(gate)
-	case len(gate.Qubits) == 1:
-		s.emitMapped(gate)
-	case len(gate.Qubits) == 2:
-		if err := s.routePair(gate.Qubits[0], gate.Qubits[1]); err != nil {
-			return fmt.Errorf("route: gate %d: %w", i, err)
-		}
-		s.emitMapped(gate)
-	default:
-		return fmt.Errorf("route: baseline router cannot handle %d-qubit gate %v (gate %d); decompose first", len(gate.Qubits), gate.Name, i)
-	}
-	return nil
-}
+// wideGates names the gates of three or more qubits a session routes.
+type wideGates int
 
-// triosStep routes one gate with the paper's trio-aware strategy; i is the
-// absolute gate index, used only for error messages.
-func triosStep(s *state, gate circuit.Gate, i int) error {
-	switch {
-	case gate.Name == circuit.Barrier:
-		s.emitMapped(gate)
-	case len(gate.Qubits) == 1:
-		s.emitMapped(gate)
-	case len(gate.Qubits) == 2:
-		if err := s.routePair(gate.Qubits[0], gate.Qubits[1]); err != nil {
-			return fmt.Errorf("route: gate %d: %w", i, err)
-		}
-		s.emitMapped(gate)
-	case gate.Name == circuit.CCX:
-		if err := s.routeTrio(gate.Qubits[0], gate.Qubits[1], gate.Qubits[2]); err != nil {
-			return fmt.Errorf("route: gate %d: %w", i, err)
-		}
-		s.emitMapped(gate)
-	case gate.Name == circuit.RCCX || gate.Name == circuit.RCCXdg:
-		// Margolus gates additionally need the target in the middle.
-		if err := s.routeTrioRole(gate.Qubits[0], gate.Qubits[1], gate.Qubits[2], gate.Qubits[2]); err != nil {
-			return fmt.Errorf("route: gate %d: %w", i, err)
-		}
-		s.emitMapped(gate)
-	default:
+const (
+	pairGates  wideGates = iota // none (Baseline)
+	trioGates                   // CCX, RCCX and RCCXdg as trios (Trios)
+	groupGates                  // CCX and MCX as clusters, RCCX and RCCXdg as trios (Groups)
+)
+
+// refuse is the error for a gate w does not route, in its router's words.
+func (w wideGates) refuse(gate circuit.Gate, i int) error {
+	switch w {
+	case pairGates:
+		return fmt.Errorf("route: baseline router cannot handle %d-qubit gate %v (gate %d); decompose first", len(gate.Qubits), gate.Name, i)
+	case trioGates:
 		return fmt.Errorf("route: trios router cannot handle gate %v (gate %d); first-pass decomposition should leave only 1q, 2q and ccx gates", gate.Name, i)
 	}
+	return fmt.Errorf("route: groups router cannot handle gate %v (gate %d)", gate.Name, i)
+}
+
+// step routes one gate in program order and emits it: a pair moves until
+// adjacent, and the wide gates w accepts route as trios or clusters. i is
+// the absolute gate index, used only in error messages.
+func (s *state) step(gate circuit.Gate, i int, w wideGates) error {
+	var err error
+	switch q := gate.Qubits; {
+	case gate.Name == circuit.Barrier || len(q) == 1:
+	case len(q) == 2:
+		err = s.routePair(q[0], q[1])
+	case w == groupGates && (gate.Name == circuit.CCX || gate.Name == circuit.MCX):
+		err = s.routeGroup(q)
+	case w != pairGates && trioGate(gate.Name):
+		err = s.routeTrio(gate)
+	default:
+		return w.refuse(gate, i)
+	}
+	if err != nil {
+		return fmt.Errorf("route: gate %d: %w", i, err)
+	}
+	s.emitMapped(gate)
 	return nil
 }

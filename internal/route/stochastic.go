@@ -24,9 +24,6 @@ import (
 // trio routing onto an existing routing pass.
 type Stochastic struct {
 	Seed int64
-	// Trials is the number of random swap-sequence attempts per blocked
-	// layer (default 4, low like the era-appropriate Qiskit setting).
-	Trials int
 	// TrioAware enables CCX routing (for the Trios pipeline).
 	TrioAware bool
 	// Weight, when non-nil, makes the swap search noise-aware: candidate
@@ -40,100 +37,63 @@ type Stochastic struct {
 	Oracle *topo.WeightedOracle
 }
 
+// stochasticTrials is the number of random swap-sequence attempts per
+// blocked layer, low like the era-appropriate Qiskit setting.
+const stochasticTrials = 4
+
 // maxSeqLen bounds one trial's swap sequence; 2*diameter*pairs is always
 // enough to bring a layer together, so hitting the bound only wastes a trial.
 func maxSeqLen(g *topo.Graph, pending int) int {
 	return 4 * g.NumQubits() * (pending + 1)
 }
 
-// Route implements Router.
+// Route implements Router. The frontier runs every gate it can; a blocked
+// layer's ready two-qubit gates then drive one swap search, and the loop
+// repeats until every gate has run.
 func (s *Stochastic) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.Layout) (*Result, error) {
-	trials := s.Trials
-	if trials <= 0 {
-		trials = 4
-	}
 	st, err := newState(g, initial, s.Seed, s.Weight, s.Oracle)
 	if err != nil {
 		return nil, err
 	}
-	dag := circuit.BuildDAG(c)
-	n := len(c.Gates)
-	done := make([]bool, n)
-	remainingPreds := make([]int, n)
-	for i := range dag.Preds {
-		remainingPreds[i] = len(dag.Preds[i])
-	}
-	completed := 0
-
-	markDone := func(i int) {
-		done[i] = true
-		completed++
-		for _, succ := range dag.Succs[i] {
-			remainingPreds[succ]--
-		}
-	}
-
-	for completed < n {
-		// Execute everything executable in the current front.
-		progress := true
-		for progress {
-			progress = false
-			for i := 0; i < n; i++ {
-				if done[i] || remainingPreds[i] > 0 {
-					continue
-				}
-				gate := c.Gates[i]
-				switch {
-				case gate.Name == circuit.Barrier || len(gate.Qubits) == 1:
-					st.emitMapped(gate)
-					markDone(i)
-					progress = true
-				case len(gate.Qubits) == 2:
-					pa, pb := st.l.Phys(gate.Qubits[0]), st.l.Phys(gate.Qubits[1])
-					if g.Connected(pa, pb) {
-						st.emitMapped(gate)
-						markDone(i)
-						progress = true
-					}
-				case trioGate(gate.Name) && s.TrioAware:
-					// Trios grafts deterministic trio routing into the
-					// stochastic pass: route the trio directly, then emit.
-					target := -1
-					if gate.Name != circuit.CCX {
-						target = gate.Qubits[2]
-					}
-					if err := st.routeTrioRole(gate.Qubits[0], gate.Qubits[1], gate.Qubits[2], target); err != nil {
-						return nil, fmt.Errorf("route: gate %d: %w", i, err)
-					}
-					st.emitMapped(gate)
-					markDone(i)
-					progress = true
-				case trioGate(gate.Name):
-					return nil, fmt.Errorf("route: stochastic router needs TrioAware for %v (gate %d); decompose first", gate.Name, i)
-				default:
-					return nil, fmt.Errorf("route: stochastic router cannot handle gate %v (gate %d)", gate.Name, i)
-				}
+	f := newFrontier(c)
+	// run hands step every ready gate that needs no swap search: barriers,
+	// 1q gates, adjacent pairs, and trio gates, which route directly (Trios
+	// grafts deterministic trio routing into the stochastic pass).
+	run := func(i int) (bool, error) {
+		gate := c.Gates[i]
+		switch q := gate.Qubits; {
+		case gate.Name == circuit.Barrier || len(q) == 1:
+		case len(q) == 2:
+			if !g.Connected(st.l.Phys(q[0]), st.l.Phys(q[1])) {
+				return false, nil
 			}
+		case trioGate(gate.Name) && s.TrioAware:
+		case trioGate(gate.Name):
+			return false, fmt.Errorf("route: stochastic router needs TrioAware for %v (gate %d); decompose first", gate.Name, i)
+		default:
+			return false, fmt.Errorf("route: stochastic router cannot handle gate %v (gate %d)", gate.Name, i)
 		}
-		if completed == n {
-			break
+		return true, st.step(gate, i, trioGates)
+	}
+	var pending [][2]int // virtual qubit pairs
+	for {
+		if err := f.drain(run); err != nil {
+			return nil, err
 		}
-
+		if f.left == 0 {
+			return st.result(), nil
+		}
 		// The front is blocked: collect its pending two-qubit pairs.
-		var pending [][2]int // virtual qubit pairs
-		for i := 0; i < n; i++ {
-			if done[i] || remainingPreds[i] > 0 {
-				continue
-			}
-			gate := c.Gates[i]
-			if len(gate.Qubits) == 2 {
-				pending = append(pending, [2]int{gate.Qubits[0], gate.Qubits[1]})
+		pending = pending[:0]
+		for _, i := range f.ready {
+			if q := c.Gates[i].Qubits; len(q) == 2 {
+				pending = append(pending, [2]int{q[0], q[1]})
 			}
 		}
 		if len(pending) == 0 {
 			return nil, fmt.Errorf("route: blocked with no pending two-qubit gates")
 		}
-		seq := s.searchSwaps(st, g, pending, trials)
+		seq := s.searchSwaps(st, g, pending)
 		if seq == nil {
 			return nil, fmt.Errorf("route: stochastic search failed for layer with %d pending pairs", len(pending))
 		}
@@ -143,17 +103,16 @@ func (s *Stochastic) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.La
 			st.swaps++
 		}
 	}
-	return st.result(), nil
 }
 
 // searchSwaps runs several randomized trials to find a swap sequence making
 // at least one pending pair adjacent (Qiskit's stochastic swap likewise
 // settles for partial progress per round). Returns the shortest sequence.
-func (s *Stochastic) searchSwaps(st *state, g *topo.Graph, pending [][2]int, trials int) [][2]int {
+func (s *Stochastic) searchSwaps(st *state, g *topo.Graph, pending [][2]int) [][2]int {
 	var best [][2]int
 	limit := maxSeqLen(g, len(pending))
 	sc := st.stochScratch()
-	for trial := 0; trial < trials; trial++ {
+	for trial := 0; trial < stochasticTrials; trial++ {
 		seq := s.oneTrial(st, g, pending, limit)
 		if seq != nil && (best == nil || len(seq) < len(best)) {
 			// The trial's sequence lives in scratch the next trial reuses,
@@ -194,23 +153,13 @@ type stochScratch struct {
 	edgeSeen []int
 	step     int
 
-	// Unweighted-arm delta tables, keyed by the involved endpoint: for each
-	// pending pair touching q, pairsOther[q] holds the pair's other physical
-	// qubit and pairsCurD[q] its current hop distance. Scoring a swap (e0,e1)
-	// then walks two short arrays with the destination row hoisted — one
-	// compare-select and one row gather per entry instead of two swapSel
-	// chains and a full 2-D slab index. (Fallback layout for devices past
-	// 255 qubits; smaller devices use the packed flat layout below.)
-	pairsOther [][]int32
-	pairsCurD  [][]int32
-
-	// Packed unweighted fast path (devices <= 255 qubits, i.e. whenever the
-	// oracle's byte slab exists): edgePk packs each edge's endpoints into
-	// one uint16, and packed[q*stride+k] (k < pCnt[q], stride = pending
-	// pairs this layer) packs a touching pair's other endpoint and current
-	// hop distance into one int32 (other<<8 | dist). A delta entry is then
-	// one flat-array load instead of two slice-header chases plus two data
-	// loads, and the whole scoring working set is a few L1-resident arrays.
+	// Packed unweighted tables (a device has at most 255 qubits, so an
+	// endpoint and a hop distance each fit a byte): edgePk packs each edge's
+	// endpoints into one uint16, and packed[q*stride+k] (k < pCnt[q],
+	// stride = pending pairs this layer) packs a touching pair's other
+	// endpoint and current hop distance into one int32 (other<<8 | dist). A
+	// delta entry is then one flat-array load, and the whole scoring working
+	// set is a few L1-resident arrays.
 	edgePk []uint16
 	packed []int32
 	pCnt   []int32
@@ -226,10 +175,8 @@ func (st *state) stochScratch() *stochScratch {
 	if st.stoch == nil {
 		n := st.g.NumQubits()
 		st.stoch = &stochScratch{
-			trialL:     st.l.Copy(),
-			pairsAt:    make([][]int32, n),
-			pairsOther: make([][]int32, n),
-			pairsCurD:  make([][]int32, n),
+			trialL:  st.l.Copy(),
+			pairsAt: make([][]int32, n),
 		}
 	}
 	return st.stoch
@@ -265,9 +212,7 @@ func (s *Stochastic) oneTrial(st *state, g *topo.Graph, pending [][2]int, limit 
 	if st.weight != nil {
 		wd = st.weightedOracle().Slab()
 	}
-	dt := g.DistTable()
-	d := dt.Slab()
-	d8 := dt.Slab8() // nil only past 255 qubits; see DistTable.Slab8
+	d8 := g.DistTable().Slab8()
 	edges := g.EdgeList()
 	if sc.inv == nil {
 		sc.inv = make([]int, nq)
@@ -285,16 +230,14 @@ func (s *Stochastic) oneTrial(st *state, g *topo.Graph, pending [][2]int, limit 
 			sc.edgesAt[e[1]] = append(sc.edgesAt[e[1]], int32(i))
 		}
 		sc.edgeSeen = make([]int, len(edges))
-		if d8 != nil {
-			sc.edgePk = make([]uint16, len(edges))
-			for i, e := range edges {
-				sc.edgePk[i] = uint16(e[0])<<8 | uint16(e[1])
-			}
-			sc.pCnt = make([]int32, nq)
+		sc.edgePk = make([]uint16, len(edges))
+		for i, e := range edges {
+			sc.edgePk[i] = uint16(e[0])<<8 | uint16(e[1])
 		}
+		sc.pCnt = make([]int32, nq)
 	}
 	stride := len(pending)
-	if d8 != nil && wd == nil && len(sc.packed) < nq*stride {
+	if wd == nil && len(sc.packed) < nq*stride {
 		sc.packed = make([]int32, nq*stride)
 	}
 	// The sequence builds in a reused scratch buffer (the caller copies the
@@ -307,7 +250,7 @@ func (s *Stochastic) oneTrial(st *state, g *topo.Graph, pending [][2]int, limit 
 		// A pending pair is adjacent exactly when its slab distance is 1.
 		adjacent := false
 		for _, p := range pending {
-			adjacent = adjacent || d[l.Phys(p[0])*nq+l.Phys(p[1])] == 1
+			adjacent = adjacent || d8[l.Phys(p[0])*nq+l.Phys(p[1])] == 1
 		}
 		if adjacent {
 			if len(seq) == 0 {
@@ -322,8 +265,7 @@ func (s *Stochastic) oneTrial(st *state, g *topo.Graph, pending [][2]int, limit 
 		for _, q := range sc.touched {
 			sc.inv[q] = 0
 		}
-		switch {
-		case wd != nil:
+		if wd != nil {
 			for _, q := range sc.touched {
 				sc.pairsAt[q] = sc.pairsAt[q][:0]
 			}
@@ -344,7 +286,7 @@ func (s *Stochastic) oneTrial(st *state, g *topo.Graph, pending [][2]int, limit 
 					sc.pairsAt[q] = append(sc.pairsAt[q], int32(i))
 				}
 			}
-		case d8 != nil:
+		} else {
 			for _, q := range sc.touched {
 				sc.pCnt[q] = 0
 			}
@@ -364,28 +306,6 @@ func (s *Stochastic) oneTrial(st *state, g *topo.Graph, pending [][2]int, limit 
 				sc.inv[b] = -1
 				sc.packed[b*stride+int(sc.pCnt[b])] = int32(a)<<8 | cd
 				sc.pCnt[b]++
-			}
-		default:
-			for _, q := range sc.touched {
-				sc.pairsOther[q] = sc.pairsOther[q][:0]
-				sc.pairsCurD[q] = sc.pairsCurD[q][:0]
-			}
-			sc.touched = sc.touched[:0]
-			for _, p := range pending {
-				a, b := l.Phys(p[0]), l.Phys(p[1])
-				cd := d[a*nq+b]
-				if sc.inv[a] == 0 {
-					sc.touched = append(sc.touched, a)
-				}
-				sc.inv[a] = -1
-				sc.pairsOther[a] = append(sc.pairsOther[a], int32(b))
-				sc.pairsCurD[a] = append(sc.pairsCurD[a], cd)
-				if sc.inv[b] == 0 {
-					sc.touched = append(sc.touched, b)
-				}
-				sc.inv[b] = -1
-				sc.pairsOther[b] = append(sc.pairsOther[b], int32(a))
-				sc.pairsCurD[b] = append(sc.pairsCurD[b], cd)
 			}
 		}
 		// Pass 1 — candidate collection in two cheap sweeps. First the
@@ -436,7 +356,7 @@ func (s *Stochastic) oneTrial(st *state, g *topo.Graph, pending [][2]int, limit 
 				improving[ni] = ei
 				ni += neg
 			}
-		} else if d8 != nil {
+		} else {
 			// Unweighted arm: a pair stored under e0 lands on e1, so its new
 			// distance lives in e1's row (and vice versa) — hop counts are
 			// exact integers, so reading the transposed element is safe. The
@@ -464,32 +384,6 @@ func (s *Stochastic) oneTrial(st *state, g *topo.Graph, pending [][2]int, limit 
 					oo := pp >> 8
 					no := oo ^ ((oo ^ e1) & eqMask(oo, e0))
 					delta += int(d8[b0+no]) - (pp & 0xff)
-				}
-				neg := (delta >> 63) & 1
-				improving[ni] = ei
-				ni += neg
-			}
-		} else {
-			// Same sweep for >255-qubit devices, gathering the int32 slab.
-			for _, ei := range cands[:nc] {
-				e := edges[ei]
-				e0, e1 := e[0], e[1]
-				delta := 0
-				row1 := d[e1*nq : e1*nq+nq]
-				others := sc.pairsOther[e0]
-				curs := sc.pairsCurD[e0][:len(others)]
-				for k, o := range others {
-					oo := int(o)
-					no := oo ^ ((oo ^ e0) & eqMask(oo, e1))
-					delta += int(row1[no]) - int(curs[k])
-				}
-				row0 := d[e0*nq : e0*nq+nq]
-				others = sc.pairsOther[e1]
-				curs = sc.pairsCurD[e1][:len(others)]
-				for k, o := range others {
-					oo := int(o)
-					no := oo ^ ((oo ^ e1) & eqMask(oo, e0))
-					delta += int(row0[no]) - int(curs[k])
 				}
 				neg := (delta >> 63) & 1
 				improving[ni] = ei

@@ -113,3 +113,22 @@ func TestStochasticWeakerThanDirect(t *testing.T) {
 			stoch.SwapsAdded, direct.SwapsAdded)
 	}
 }
+
+// TestStochasticLargestDevice routes random CNOTs on a 255-qubit line, the
+// largest device a graph models, through the byte-packed scoring tables.
+func TestStochasticLargestDevice(t *testing.T) {
+	g := topo.Line(255)
+	rng := rand.New(rand.NewSource(59))
+	c := circuit.New(255)
+	for i := 0; i < 200; i++ {
+		p := rng.Perm(255)
+		c.CX(p[0], p[1])
+	}
+	init := layout.Identity(255)
+	res, err := (&Stochastic{Seed: 1}).Route(c, g, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRouted(t, c, g, init, res)
+	replaySwaps(t, res.Circuit, init, res.Final)
+}

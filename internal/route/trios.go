@@ -24,23 +24,30 @@ type Trios struct {
 	Oracle *topo.WeightedOracle
 }
 
-// Route implements Router. Like Baseline.Route it is a one-window session
-// over the incremental Begin/Feed/Finish path.
+// Route implements Router as a one-window session.
 func (t *Trios) Route(c *circuit.Circuit, g *topo.Graph, initial *layout.Layout) (*Result, error) {
-	ss, err := t.Begin(g, initial)
-	if err != nil {
-		return nil, err
-	}
-	if err := ss.Feed(c.Gates); err != nil {
-		return nil, err
-	}
-	return ss.Finish(), nil
+	return routeWhole(t, c, g, initial)
 }
 
-// routeTrio brings the three virtual qubits of a Toffoli into a connected
-// neighborhood.
-func (s *state) routeTrio(v0, v1, v2 int) error {
-	return s.routeTrioRole(v0, v1, v2, -1)
+// trioRole returns the operand a trio gate needs coupled to both others,
+// or -1: CCX runs on any connected trio, while the Margolus gates RCCX and
+// RCCXdg need their target in the middle of a line.
+func trioRole(gate circuit.Gate) int {
+	if gate.Name == circuit.CCX {
+		return -1
+	}
+	return gate.Qubits[2]
+}
+
+// trioReady reports whether a trio gate's operands already sit in a
+// placement that fits its role.
+func (s *state) trioReady(gate circuit.Gate) bool {
+	target := -1
+	if v := trioRole(gate); v >= 0 {
+		target = s.l.Phys(v)
+	}
+	q := gate.Qubits
+	return s.trioPlaced(s.l.Phys(q[0]), s.l.Phys(q[1]), s.l.Phys(q[2]), target)
 }
 
 // trioPlaced reports whether a trio placement satisfies the gate's shape
@@ -57,11 +64,11 @@ func (s *state) trioPlaced(p0, p1, p2, targetPhys int) bool {
 	return mid == targetPhys
 }
 
-// routeTrioRole is routeTrio with an optional role constraint: when
-// targetV >= 0 the placement must leave that operand coupled to both others.
-// After generic trio routing, a wrong-middle line is fixed with one SWAP of
-// the target into the middle position.
-func (s *state) routeTrioRole(v0, v1, v2, targetV int) error {
+// routeTrio brings a trio gate's operands into a connected neighborhood
+// that fits its role (trioRole). After generic trio routing, a wrong-middle
+// line is fixed with one SWAP of the target into the middle position.
+func (s *state) routeTrio(gate circuit.Gate) error {
+	v0, v1, v2, targetV := gate.Qubits[0], gate.Qubits[1], gate.Qubits[2], trioRole(gate)
 	const maxIter = 8
 	for iter := 0; iter < maxIter; iter++ {
 		p0, p1, p2 := s.l.Phys(v0), s.l.Phys(v1), s.l.Phys(v2)

@@ -33,10 +33,17 @@ type Graph struct {
 	frozen bool
 }
 
-// NewGraph returns an empty coupling graph on n qubits.
+// maxQubits is the largest device a graph models: hop distances and qubit
+// indices then fit a byte, which the routers' packed scoring tables rely on.
+const maxQubits = 255
+
+// NewGraph returns an empty coupling graph on n qubits, 0 <= n <= maxQubits.
 func NewGraph(name string, n int) *Graph {
 	if n < 0 {
 		panic("topo: negative qubit count")
+	}
+	if n > maxQubits {
+		panic(fmt.Sprintf("topo: %d qubits exceeds the %d-qubit device limit", n, maxQubits))
 	}
 	return &Graph{
 		name: name,

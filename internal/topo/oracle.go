@@ -26,9 +26,9 @@ type oracle struct {
 	dist []int32
 	// dist8 mirrors dist as bytes (0xFF when unreachable): a 100-qubit
 	// device's whole matrix shrinks from 40 KB to 10 KB, so the routers'
-	// delta-scoring gathers stay L1-resident. Exact whenever n <= 255 —
-	// a connected n-qubit graph's diameter is at most n-1 < 0xFF — and
-	// DistTable.Slab8 returns nil past that, sending callers to dist.
+	// delta-scoring gathers stay L1-resident. Exact because a graph has at
+	// most maxQubits qubits: a connected n-qubit graph's diameter is at most
+	// n-1 < 0xFF.
 	dist8 []uint8
 	// cand[candOff[src*n+dst]:candOff[src*n+dst+1]] lists the neighbors of
 	// src one hop closer to dst, in adjacency (insertion) order — exactly the
@@ -69,11 +69,9 @@ func buildOracle(g *Graph) *oracle {
 	for src := 0; src < n; src++ {
 		queue = bfsDistances32Into(g, src, o.dist[src*n:(src+1)*n], queue)
 	}
-	if n <= 255 {
-		o.dist8 = make([]uint8, n*n)
-		for i, v := range o.dist {
-			o.dist8[i] = uint8(v) // -1 wraps to the 0xFF sentinel
-		}
+	o.dist8 = make([]uint8, n*n)
+	for i, v := range o.dist {
+		o.dist8[i] = uint8(v) // -1 wraps to the 0xFF sentinel
 	}
 	// Candidate table: for each (src, dst), the neighbors of src that sit one
 	// hop closer to dst, in adjacency order (the order the BFS path walker
@@ -158,10 +156,9 @@ func (t DistTable) Row(src int) []int32 { return t.d[src*t.n : (src+1)*t.n] }
 // must not modify it.
 func (t DistTable) Slab() []int32 { return t.d }
 
-// Slab8 returns the byte mirror of Slab (0xFF when unreachable), or nil when
-// the device is too large for hop counts to fit a byte (n > 255). Hot loops
+// Slab8 returns the byte mirror of Slab (0xFF when unreachable). Hot loops
 // prefer it because the whole matrix stays L1-resident; callers must not
-// modify it and must fall back to Slab on nil.
+// modify it.
 func (t DistTable) Slab8() []uint8 { return t.d8 }
 
 // NumQubits returns the table's row stride.

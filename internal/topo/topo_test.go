@@ -124,6 +124,25 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 }
 
+// TestNewGraphSizeLimit: a graph holds 0 to 255 qubits, so qubit indices
+// and hop distances fit the byte tables the routers score with.
+func TestNewGraphSizeLimit(t *testing.T) {
+	for _, n := range []int{-1, 256} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewGraph(%d) did not panic", n)
+				}
+			}()
+			NewGraph("t", n)
+		}()
+	}
+	g := Line(255)
+	if d := g.DistTable().Slab8()[254]; d != 254 {
+		t.Errorf("byte distance across Line(255) = %d, want 254", d)
+	}
+}
+
 func TestDistances(t *testing.T) {
 	g := Line(5)
 	d := g.Distances(0)
