@@ -242,7 +242,7 @@ func GreedyWeighted(c *circuit.Circuit, g *topo.Graph, w *topo.WeightedOracle) (
 					continue
 				}
 				if pw := pairWeight(bestV, u); pw > 0 {
-					cost += float64(pw) * dist(p, v2p[u])
+					cost += float64(float64(pw) * dist(p, v2p[u])) // rounded: no fused multiply-add
 					anyPartner = true
 				}
 			}

@@ -42,7 +42,7 @@ func SuccessWithCalibration(c *circuit.Circuit, cal *device.Calibration, mode Co
 			if g.Name == circuit.SWAP {
 				uses = 3
 			}
-			logP += float64(uses) * math.Log(1-e)
+			logP += float64(float64(uses) * math.Log(1-e)) // rounded: no fused multiply-add
 		case len(g.Qubits) == 1:
 			logP += math.Log(1 - cal.OneQubitError[g.Qubits[0]])
 		default:

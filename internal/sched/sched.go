@@ -37,9 +37,9 @@ func (t GateTimes) Duration(g circuit.Gate) (float64, error) {
 	case circuit.SWAP:
 		return 3 * t.TwoQubit, nil
 	case circuit.CCX, circuit.CCZ:
-		return 8*t.TwoQubit + 4*t.OneQubit, nil
+		return float64(8*t.TwoQubit) + float64(4*t.OneQubit), nil // rounded: no fused multiply-add
 	case circuit.RCCX, circuit.RCCXdg:
-		return 3*t.TwoQubit + 4*t.OneQubit, nil
+		return float64(3*t.TwoQubit) + float64(4*t.OneQubit), nil // rounded: no fused multiply-add
 	case circuit.MCX:
 		return 0, fmt.Errorf("sched: cannot time an undecomposed mcx")
 	default:
