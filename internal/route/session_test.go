@@ -40,34 +40,37 @@ func randomRoutable(n, gates int, trios bool, rng *rand.Rand) *circuit.Circuit {
 // router level: feeding a circuit through a session in windows of any size,
 // draining between windows, yields exactly the gates, final layout, and
 // swap count of a monolithic Route call (same seed, so the stochastic
-// tie-break RNG must consume the identical stream).
+// tie-break RNG must consume the identical stream). It covers every router
+// with a session: Baseline, Trios and Groups.
 func TestSessionWindowedMatchesRoute(t *testing.T) {
+	type sessionRouter interface {
+		Router
+		Begin(*topo.Graph, *layout.Layout) (*Session, error)
+	}
+	routers := []struct {
+		name  string
+		trios bool
+		r     sessionRouter
+	}{
+		{"baseline", false, &Baseline{Seed: 3}},
+		{"trios", true, &Trios{Seed: 3}},
+		{"groups", true, &Groups{Seed: 3}},
+	}
 	graphs := []*topo.Graph{topo.Line(7), topo.Ring(7), topo.Grid(2, 4)}
 	for _, g := range graphs {
 		n := g.NumQubits()
-		for _, trios := range []bool{false, true} {
+		for _, rt := range routers {
 			rng := rand.New(rand.NewSource(7))
-			c := randomRoutable(n, 200, trios, rng)
+			c := randomRoutable(n, 200, rt.trios, rng)
 			init := layout.Random(n, rng)
 
-			var mono *Result
-			var err error
-			if trios {
-				mono, err = (&Trios{Seed: 3}).Route(c, g, init)
-			} else {
-				mono, err = (&Baseline{Seed: 3}).Route(c, g, init)
-			}
+			mono, err := rt.r.Route(c, g, init)
 			if err != nil {
 				t.Fatalf("Route: %v", err)
 			}
 
 			for _, window := range []int{1, 7, 64, len(c.Gates) + 10} {
-				var ss *Session
-				if trios {
-					ss, err = (&Trios{Seed: 3}).Begin(g, init)
-				} else {
-					ss, err = (&Baseline{Seed: 3}).Begin(g, init)
-				}
+				ss, err := rt.r.Begin(g, init)
 				if err != nil {
 					t.Fatalf("Begin: %v", err)
 				}
@@ -87,15 +90,15 @@ func TestSessionWindowedMatchesRoute(t *testing.T) {
 					t.Fatalf("drained session still holds %d gates", len(res.Circuit.Gates))
 				}
 				if !reflect.DeepEqual(got, mono.Circuit.Gates) {
-					t.Fatalf("%v trios=%v window=%d: windowed gates diverge from Route (%d vs %d gates)",
-						g, trios, window, len(got), len(mono.Circuit.Gates))
+					t.Fatalf("%v %s window=%d: windowed gates diverge from Route (%d vs %d gates)",
+						g, rt.name, window, len(got), len(mono.Circuit.Gates))
 				}
 				if res.SwapsAdded != mono.SwapsAdded {
-					t.Fatalf("window=%d: swaps %d != %d", window, res.SwapsAdded, mono.SwapsAdded)
+					t.Fatalf("%s window=%d: swaps %d != %d", rt.name, window, res.SwapsAdded, mono.SwapsAdded)
 				}
 				for v := 0; v < n; v++ {
 					if res.Final.Phys(v) != mono.Final.Phys(v) {
-						t.Fatalf("window=%d: final layout diverges at virtual %d", window, v)
+						t.Fatalf("%s window=%d: final layout diverges at virtual %d", rt.name, window, v)
 					}
 				}
 			}
