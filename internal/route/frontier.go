@@ -10,7 +10,6 @@ import "trios/internal/circuit"
 // readies only later gates, so at most one ready gate holds any qubit and
 // the ready list never outgrows the device.
 type frontier struct {
-	gates   []circuit.Gate
 	off     []int32 // gate i's wires are next[off[i]:off[i+1]]
 	next    []int32 // the next gate on the wire's qubit, or -1
 	pending []int32
@@ -23,37 +22,31 @@ type frontier struct {
 func newFrontier(c *circuit.Circuit) *frontier {
 	n := len(c.Gates)
 	f := &frontier{
-		gates:   c.Gates,
 		off:     make([]int32, n+1),
+		next:    make([]int32, 0, 2*n),
 		pending: make([]int32, n),
 		done:    make([]bool, n),
 		left:    n,
 	}
-	wires := 0
-	for i, g := range c.Gates {
-		f.off[i] = int32(wires)
-		wires += len(g.Qubits)
-	}
-	f.off[n] = int32(wires)
-	f.next = make([]int32, wires)
 	last := make([]int32, c.NumQubits) // wire slot of the latest gate on each qubit, -1 if none
 	for q := range last {
 		last[q] = -1
 	}
 	for i, g := range c.Gates {
-		for k, q := range g.Qubits {
-			slot := f.off[i] + int32(k)
-			f.next[slot] = -1
+		f.off[i] = int32(len(f.next))
+		for _, q := range g.Qubits {
 			if w := last[q]; w >= 0 {
 				f.next[w] = int32(i)
 				f.pending[i]++
 			}
-			last[q] = slot
+			last[q] = int32(len(f.next))
+			f.next = append(f.next, -1)
 		}
 		if f.pending[i] == 0 {
 			f.ready = append(f.ready, i)
 		}
 	}
+	f.off[n] = int32(len(f.next))
 	return f
 }
 
