@@ -28,8 +28,7 @@ func TestMain(m *testing.M) {
 
 // buildExperiments compiles the binary once per test binary invocation and
 // shares it among the tests. main() here is flag.Parse-and-os.Exit shaped,
-// so the smoke tests exercise the real executable instead of refactoring
-// the experiment driver.
+// so the tests exercise the real executable instead of a refactored main.
 func buildExperiments(t *testing.T) string {
 	t.Helper()
 	buildOnce.Do(func() {
