@@ -20,9 +20,20 @@ var Identity2 = Mat2{1, 0, 0, 1}
 // Mul returns the matrix product a*b.
 func (a Mat2) Mul(b Mat2) Mat2 {
 	return Mat2{
-		a[0]*b[0] + a[1]*b[2], a[0]*b[1] + a[1]*b[3],
-		a[2]*b[0] + a[3]*b[2], a[2]*b[1] + a[3]*b[3],
+		mul(a[0], b[0]) + mul(a[1], b[2]), mul(a[0], b[1]) + mul(a[1], b[3]),
+		mul(a[2], b[0]) + mul(a[3], b[2]), mul(a[2], b[1]) + mul(a[3], b[3]),
 	}
+}
+
+// mul returns the complex product a*b as amd64 computes it, on every
+// architecture: the explicit float64 conversions round each real product
+// on its own, so the compiler may not fuse it into the add or subtract
+// (arm64, ppc64le and riscv64 would). All four terms stay even where a
+// factor is real, since dropping one can flip the sign of a zero, and
+// cmplx.Phase reads that sign.
+func mul(a, b complex128) complex128 {
+	ar, ai, br, bi := real(a), imag(a), real(b), imag(b)
+	return complex(float64(ar*br)-float64(ai*bi), float64(ar*bi)+float64(ai*br))
 }
 
 func expi(theta float64) complex128 {
@@ -35,8 +46,8 @@ func U3(theta, phi, lambda float64) Mat2 {
 	c := complex(math.Cos(theta/2), 0)
 	s := complex(math.Sin(theta/2), 0)
 	return Mat2{
-		c, -expi(lambda) * s,
-		expi(phi) * s, expi(phi+lambda) * c,
+		c, mul(-expi(lambda), s),
+		mul(expi(phi), s), mul(expi(phi+lambda), c),
 	}
 }
 
