@@ -249,22 +249,6 @@ func (g Gate) Controls() []int { return g.Qubits[:len(g.Qubits)-1] }
 // Inverse returns the adjoint of the gate. Pseudo-ops are returned unchanged.
 func (g Gate) Inverse() Gate {
 	switch g.Name {
-	case S:
-		return g.with(Sdg)
-	case Sdg:
-		return g.with(S)
-	case T:
-		return g.with(Tdg)
-	case Tdg:
-		return g.with(T)
-	case SX:
-		return g.with(SXdg)
-	case SXdg:
-		return g.with(SX)
-	case RCCX:
-		return g.with(RCCXdg)
-	case RCCXdg:
-		return g.with(RCCX)
 	case RX, RY, RZ, U1, CP:
 		return NewGate(g.Name, g.Qubits, -g.Params[0])
 	case U2:
@@ -272,14 +256,55 @@ func (g Gate) Inverse() Gate {
 		return NewGate(U3, g.Qubits, -math.Pi/2, -g.Params[1], -g.Params[0])
 	case U3:
 		return NewGate(U3, g.Qubits, -g.Params[0], -g.Params[2], -g.Params[1])
-	default:
-		// Self-inverse (I, X, Y, Z, H, CX, CZ, SWAP, CCX, CCZ, MCX)
-		// or pseudo-ops.
-		return g
 	}
+	if n := dagger(g.Name); n != g.Name {
+		return NewGate(n, g.Qubits, g.Params...)
+	}
+	return g
 }
 
-func (g Gate) with(n Name) Gate { return NewGate(n, g.Qubits, g.Params...) }
+// IsInverse reports whether o equals g.Inverse(), without building the
+// inverse.
+func (g Gate) IsInverse(o Gate) bool {
+	if !slices.Equal(g.Qubits, o.Qubits) {
+		return false
+	}
+	gp, op := g.Params, o.Params
+	switch g.Name {
+	case RX, RY, RZ, U1, CP:
+		return o.Name == g.Name && len(op) == 1 && op[0] == -gp[0]
+	case U2:
+		return o.Name == U3 && len(op) == 3 && op[0] == -math.Pi/2 && op[1] == -gp[1] && op[2] == -gp[0]
+	case U3:
+		return o.Name == U3 && len(op) == 3 && op[0] == -gp[0] && op[1] == -gp[2] && op[2] == -gp[1]
+	}
+	return o.Name == dagger(g.Name) && slices.Equal(gp, op)
+}
+
+// dagger names the inverse of a parameterless gate kind: the daggered twin
+// of s, t, sx and rccx (and back), else the kind itself, which is
+// self-inverse (I, X, Y, Z, H, CX, CZ, SWAP, CCX, CCZ, MCX) or a pseudo-op.
+func dagger(n Name) Name {
+	switch n {
+	case S:
+		return Sdg
+	case Sdg:
+		return S
+	case T:
+		return Tdg
+	case Tdg:
+		return T
+	case SX:
+		return SXdg
+	case SXdg:
+		return SX
+	case RCCX:
+		return RCCXdg
+	case RCCXdg:
+		return RCCX
+	}
+	return n
+}
 
 // Equal reports structural equality of two gates.
 func (g Gate) Equal(o Gate) bool {

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -119,6 +120,41 @@ func TestGateInverse(t *testing.T) {
 	want := NewGate(U3, []int{0}, -0.1, -0.3, -0.2)
 	if !inv3.Equal(want) {
 		t.Errorf("u3 inverse = %v, want %v", inv3, want)
+	}
+}
+
+// TestIsInverseMatchesInverse holds IsInverse to its definition,
+// Inverse().Equal, on every ordered pair of a pool of gates of each kind:
+// each with a few parameter draws (signed zeros and NaN among them), its
+// inverse, and a copy with its operands reversed.
+func TestIsInverseMatchesInverse(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 0.5, -0.5, math.Pi / 2, -math.Pi / 2, math.NaN()}
+	var pool []Gate
+	for n := Name(0); n.Valid(); n++ {
+		if n == Measure || n == Barrier {
+			continue
+		}
+		qs := []int{0, 1, 2}[:max(n.Arity(), 0)]
+		if n == MCX {
+			qs = []int{0, 1, 2}
+		}
+		for d := 0; d < 4; d++ {
+			params := make([]float64, n.ParamCount())
+			for k := range params {
+				params[k] = values[(d*3+k*5)%len(values)]
+			}
+			g := NewGate(n, qs, params...)
+			rev := slices.Clone(qs)
+			slices.Reverse(rev)
+			pool = append(pool, g, g.Inverse(), NewGate(n, rev, params...))
+		}
+	}
+	for _, a := range pool {
+		for _, b := range pool {
+			if got, want := a.IsInverse(b), a.Inverse().Equal(b); got != want {
+				t.Errorf("%v.IsInverse(%v) = %v, Inverse().Equal says %v", a, b, got, want)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"trios/internal/benchmarks"
+	"trios/internal/circuit"
+	"trios/internal/device"
 	"trios/internal/topo"
 )
 
@@ -75,3 +77,50 @@ func benchBatch(b *testing.B, workers int) {
 
 func BenchmarkBatchGroverSerial(b *testing.B)   { benchBatch(b, 1) }
 func BenchmarkBatchGroverParallel(b *testing.B) { benchBatch(b, 0) }
+
+// BenchmarkCompileOptimizedGrid compiles the 88 optimize-on configurations
+// perfbench's serve-cold workload draws: the 11 Table-1 circuits on the 4
+// paper topologies under both pipelines, with the stochastic router,
+// identity placement, the topology's registry calibration and the uniform
+// cost model. One op is all 88 compiles; B/op and allocs/op show what the
+// optimize passes allocate.
+func BenchmarkCompileOptimizedGrid(b *testing.B) {
+	type cell struct {
+		input *circuit.Circuit
+		graph *topo.Graph
+		opts  Options
+	}
+	var cells []cell
+	for _, bm := range benchmarks.All() {
+		input, err := bm.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, name := range []string{"johannesburg", "grid", "line", "clusters"} {
+			g, err := topo.ByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cal, err := device.ForDevice(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, pipe := range []Pipeline{Conventional, TriosPipeline} {
+				cells = append(cells, cell{input, g, Options{
+					Pipeline: pipe, Router: RouteStochastic, Placement: PlaceIdentity,
+					Seed: 1, Optimize: true, Calibration: cal, CostModel: device.Uniform{},
+				}})
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range cells {
+			if _, err := Compile(c.input, c.graph, c.opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(cells)), "compiles")
+}

@@ -23,17 +23,17 @@ import (
 // qubits.
 func Consolidate1Q(c *circuit.Circuit) (*circuit.Circuit, error) {
 	out := circuit.New(c.NumQubits)
-	pending := make([]*gatemat.Mat2, c.NumQubits)
+	out.Gates = make([]circuit.Gate, 0, len(c.Gates))
+	// pending[q] is the product of qubit q's unflushed run, where open[q].
+	pending := make([]gatemat.Mat2, c.NumQubits)
+	open := make([]bool, c.NumQubits)
 
 	flush := func(q int) {
-		m := pending[q]
-		pending[q] = nil
-		if m == nil {
+		if !open[q] {
 			return
 		}
-		if g, ok := resynthesize(*m, q); ok {
-			out.Append(g)
-		}
+		open[q] = false
+		resynthesize(out, pending[q], q)
 	}
 
 	for _, g := range c.Gates {
@@ -43,12 +43,10 @@ func Consolidate1Q(c *circuit.Circuit) (*circuit.Circuit, error) {
 				return nil, err
 			}
 			q := g.Qubits[0]
-			if pending[q] == nil {
-				pending[q] = &m
-			} else {
-				prod := m.Mul(*pending[q]) // later gate multiplies on the left
-				pending[q] = &prod
+			if open[q] {
+				m = m.Mul(pending[q]) // later gate multiplies on the left
 			}
+			pending[q], open[q] = m, true
 			continue
 		}
 		for _, q := range g.Qubits {
@@ -62,8 +60,8 @@ func Consolidate1Q(c *circuit.Circuit) (*circuit.Circuit, error) {
 	return out, nil
 }
 
-// resynthesize converts a 2x2 unitary into a u-gate on qubit q, returning
-// ok=false when the matrix is the identity up to global phase.
+// resynthesize appends to out the u-gate on qubit q that m is, up to
+// global phase, and nothing when m is the identity up to global phase.
 //
 // With the u3 convention
 //
@@ -71,7 +69,7 @@ func Consolidate1Q(c *circuit.Circuit) (*circuit.Circuit, error) {
 //
 // the angles are recovered after removing the global phase that makes the
 // (0,0) entry real non-negative.
-func resynthesize(m gatemat.Mat2, q int) (circuit.Gate, bool) {
+func resynthesize(out *circuit.Circuit, m gatemat.Mat2, q int) {
 	const eps = 1e-12
 	c := cmplx.Abs(m[0])
 	s := cmplx.Abs(m[2])
@@ -96,15 +94,16 @@ func resynthesize(m gatemat.Mat2, q int) (circuit.Gate, bool) {
 
 	phi = normalizeAngle(phi)
 	lambda = normalizeAngle(lambda)
+	qs := []int{q}
 	switch {
 	case math.Abs(theta) < eps && math.Abs(lambda) < eps && math.Abs(phi) < eps:
-		return circuit.Gate{}, false // identity up to global phase
+		// identity up to global phase
 	case math.Abs(theta) < eps:
-		return circuit.NewGate(circuit.U1, []int{q}, normalizeAngle(phi+lambda)), true
+		out.AppendNew(circuit.U1, qs, normalizeAngle(phi+lambda))
 	case math.Abs(theta-math.Pi/2) < eps:
-		return circuit.NewGate(circuit.U2, []int{q}, phi, lambda), true
+		out.AppendNew(circuit.U2, qs, phi, lambda)
 	default:
-		return circuit.NewGate(circuit.U3, []int{q}, theta, phi, lambda), true
+		out.AppendNew(circuit.U3, qs, theta, phi, lambda)
 	}
 }
 

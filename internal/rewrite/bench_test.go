@@ -1,11 +1,14 @@
 package rewrite
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"trios/internal/circuit"
+	"trios/internal/qasm"
 )
 
 // onion builds a palindrome cancellation chain: the first half is random CX
@@ -110,5 +113,63 @@ func BenchmarkSaturateRandom(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Saturate(c, Options{})
+	}
+}
+
+// TestSaturateAllocsDoNotGrowWithGates pins the engine's buffer reuse: its
+// links, flags and queue come from earlier calls, so a 2,000-gate and a
+// 20,000-gate onion allocate the same number of times per call.
+func TestSaturateAllocsDoNotGrowWithGates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop buffers at random")
+	}
+	small, large := onion(2_000), onion(20_000)
+	Saturate(large, Options{}) // size the pooled buffers for both
+	allocs := func(c *circuit.Circuit) float64 {
+		return testing.AllocsPerRun(10, func() { Saturate(c, Options{}) })
+	}
+	if a, b := allocs(small), allocs(large); a != b {
+		t.Fatalf("Saturate allocates %v times per call at 2,000 gates and %v at 20,000", a, b)
+	}
+}
+
+// TestSaturateConcurrentMatchesSerial runs Saturate from several goroutines
+// over the pinned cases in shuffled orders, so each call reuses buffers
+// that a call of another size and options left behind: every output and
+// Stats must equal the serial run's.
+func TestSaturateConcurrentMatchesSerial(t *testing.T) {
+	const cases, workers = 96, 4
+	render := func(pc pinCase) string {
+		out, st := Saturate(pc.in, pc.opts)
+		src, err := qasm.Emit(out)
+		if err != nil {
+			return err.Error()
+		}
+		return fmt.Sprintf("%s%+v", src, st)
+	}
+	pcs := make([]pinCase, cases)
+	want := make([]string, cases)
+	for i := range pcs {
+		pcs[i] = pinCaseAt(i)
+		want[i] = render(pcs[i])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, workers*cases)
+	for w := 0; w < workers; w++ {
+		order := rand.New(rand.NewSource(int64(w))).Perm(cases)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, i := range order {
+				if got := render(pcs[i]); got != want[i] {
+					errs <- fmt.Sprintf("%s: concurrent output differs from serial:\n%s\nserial:\n%s", pcs[i].name, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
 	}
 }

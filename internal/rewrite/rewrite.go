@@ -21,21 +21,18 @@ package rewrite
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"trios/internal/circuit"
 )
 
 // Options configures a Saturate run.
 type Options struct {
-	// Rules is the rule table to saturate under; nil means DefaultRules().
-	Rules []Rule
 	// MaxRewrites caps total rule applications; 0 means 64 + 16·gates.
 	// When the budget is exhausted the engine stops early (Stats records
 	// it) — the circuit is still valid, just not fully saturated.
 	MaxRewrites int
-	// WindowLimit caps how many gates a commuting-window search may cross
-	// on one wire walk; 0 means 128.
-	WindowLimit int
 	// AdjacentOK, when non-nil, gates rules that synthesize a two-qubit
 	// gate on a pair that did not already carry one (the CCX control
 	// absorption): the new pair must satisfy the predicate. Post-routing
@@ -48,6 +45,10 @@ type Options struct {
 	// counts.
 	PopSeed int64
 }
+
+// windowLimit caps how many gates a commuting-window search may cross on
+// one wire walk.
+const windowLimit = 128
 
 // Stats reports what a Saturate run did.
 type Stats struct {
@@ -67,14 +68,20 @@ type Stats struct {
 // Saturate rewrites c to a fixpoint under the rule table and returns the
 // optimized circuit plus run statistics. The input circuit is not modified.
 func Saturate(c *circuit.Circuit, opts Options) (*circuit.Circuit, Stats) {
-	rules := opts.Rules
-	if rules == nil {
-		rules = DefaultRules()
-	}
-	e := newEngine(c, opts)
-	e.run(rules)
-	return e.emit(), e.stats
+	e := engines.Get().(*engine)
+	e.load(c, opts)
+	e.run()
+	out, st := e.emit(), e.stats
+	e.release()
+	engines.Put(e)
+	return out, st
 }
+
+// engines hands each Saturate call the buffers of an earlier one (a
+// compile makes up to six calls), so a call allocates its links, flags
+// and queue only when it outgrows every earlier one. A pooled engine holds
+// no gate, so the pool pins no circuit.
+var engines = sync.Pool{New: func() any { return new(engine) }}
 
 const none = int32(-1)
 
@@ -86,9 +93,12 @@ type engine struct {
 	nq    int
 	gates []circuit.Gate
 	alive []bool
-	// prev[i][k] / next[i][k] link node i to its neighbors on the wire of
-	// its k-th operand qubit (none at the ends).
-	prev, next [][]int32
+	// Node i's wire links fill slots off[i] to off[i+1]-1 of prev and
+	// next: prev[off[i]+k] / next[off[i]+k] link it to its neighbors on
+	// the wire of its k-th operand qubit (none at the ends). A
+	// replacement only drops qubits, so it fits the slot of its node.
+	off        []int32
+	prev, next []int32
 	// head[q] / tail[q] are the first/last alive node on qubit q's wire.
 	head, tail []int32
 
@@ -97,61 +107,95 @@ type engine struct {
 	queued []bool
 	rng    *rand.Rand
 
-	budget      int
-	windowLimit int
-	adjacentOK  func(a, b int) bool
-	stats       Stats
+	budget     int
+	adjacentOK func(a, b int) bool
+	applied    []int // rule applications, by index in rules
+	stats      Stats
 }
 
-func newEngine(c *circuit.Circuit, opts Options) *engine {
-	n := len(c.Gates)
-	e := &engine{
-		nq:          c.NumQubits,
-		gates:       make([]circuit.Gate, n),
-		alive:       make([]bool, n),
-		prev:        make([][]int32, n),
-		next:        make([][]int32, n),
-		head:        make([]int32, c.NumQubits),
-		tail:        make([]int32, c.NumQubits),
-		queued:      make([]bool, n),
-		budget:      opts.MaxRewrites,
-		windowLimit: opts.WindowLimit,
-		adjacentOK:  opts.AdjacentOK,
+// resize returns s at length n, reusing its array when it is long enough.
+// The elements are stale: callers overwrite or clear them.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
+}
+
+// load sets the engine up for one run over c, reusing its buffers.
+func (e *engine) load(c *circuit.Circuit, opts Options) {
+	n := len(c.Gates)
+	links := 0
+	for _, g := range c.Gates {
+		links += len(g.Qubits)
+	}
+	e.nq = c.NumQubits
+	e.gates = append(e.gates[:0], c.Gates...)
+	e.alive = resize(e.alive, n)
+	e.queued = resize(e.queued, n)
+	clear(e.queued)
+	e.off = resize(e.off, n+1)
+	e.prev = resize(e.prev, links)
+	e.next = resize(e.next, links)
+	e.head = resize(e.head, c.NumQubits)
+	e.tail = resize(e.tail, c.NumQubits)
+	e.queue, e.qhead = e.queue[:0], 0
+	e.applied = resize(e.applied, len(rules))
+	clear(e.applied)
+	e.budget = opts.MaxRewrites
 	if e.budget == 0 {
 		e.budget = 64 + 16*n
 	}
-	if e.windowLimit == 0 {
-		e.windowLimit = 128
-	}
+	e.adjacentOK = opts.AdjacentOK
 	if opts.PopSeed != 0 {
 		e.rng = rand.New(rand.NewSource(opts.PopSeed))
 	}
+	e.stats = Stats{GatesIn: n, TwoQubitIn: twoQubitCount(c.Gates)}
+
 	for q := range e.head {
 		e.head[q], e.tail[q] = none, none
 	}
-	copy(e.gates, c.Gates)
-	for i := range e.gates {
-		g := e.gates[i]
+	slot := int32(0)
+	for i, g := range e.gates {
 		e.alive[i] = true
-		e.prev[i] = make([]int32, len(g.Qubits))
-		e.next[i] = make([]int32, len(g.Qubits))
+		e.off[i] = slot
 		for k, q := range g.Qubits {
-			e.prev[i][k] = e.tail[q]
-			e.next[i][k] = none
-			if e.tail[q] != none {
-				t := e.tail[q]
-				e.next[t][wireIdx(e.gates[t], q)] = int32(i)
+			e.prev[slot+int32(k)] = e.tail[q]
+			e.next[slot+int32(k)] = none
+			if t := e.tail[q]; t != none {
+				e.next[e.slot(t, q)] = int32(i)
 			} else {
 				e.head[q] = int32(i)
 			}
 			e.tail[q] = int32(i)
 		}
+		slot += int32(len(g.Qubits))
 	}
-	e.stats.Applied = make(map[string]int)
-	e.stats.GatesIn = n
-	e.stats.TwoQubitIn = twoQubitCount(c.Gates)
-	return e
+	e.off[n] = slot
+}
+
+// release drops the engine's references into this run's circuits (the
+// gates share their operand slices) and its adjacency predicate, before
+// the engine goes back to the pool.
+func (e *engine) release() {
+	clear(e.gates)
+	e.gates = e.gates[:0]
+	e.adjacentOK, e.rng = nil, nil
+	e.stats = Stats{}
+}
+
+// links returns node i's wire links, indexed by operand like its gate's
+// qubits.
+func (e *engine) links(i int32) (prev, next []int32) {
+	lo := e.off[i]
+	hi := lo + int32(len(e.gates[i].Qubits))
+	return e.prev[lo:hi], e.next[lo:hi]
+}
+
+// slot returns the index in prev and next of node i's link on qubit q's
+// wire.
+func (e *engine) slot(i int32, q int) int32 {
+	return e.off[i] + int32(wireIdx(e.gates[i], q))
 }
 
 // wireIdx returns the operand index of qubit q in gate g. Gates never
@@ -176,32 +220,23 @@ func twoQubitCount(gates []circuit.Gate) int {
 	return n
 }
 
-func (e *engine) run(rules []Rule) {
+func (e *engine) run() {
 	// Structural rules (SWAP absorption) re-express gates rather than
 	// delete them, and their output can block cancellations another node
 	// was about to make. Saturating the deletion/merge rules to a fixpoint
 	// first guarantees the structural pass never consumes a gate a cheaper
 	// rule wanted.
-	safe := rules[:0:0]
-	for _, r := range rules {
-		if !r.Structural {
-			safe = append(safe, r)
-		}
+	if e.saturate(false) {
+		e.saturate(true)
 	}
-	if len(safe) < len(rules) {
-		if !e.saturate(safe) {
-			e.finish()
-			return
-		}
-	}
-	e.saturate(rules)
 	e.finish()
 }
 
-// saturate drains the worklist under the given rules; it reseeds the queue
-// with every live node so a fresh rule set gets a full pass. Returns false
-// if the rewrite budget ran out.
-func (e *engine) saturate(rules []Rule) bool {
+// saturate drains the worklist under the rule table, its structural rules
+// included only when structural is set; it reseeds the queue with every
+// live node so a fresh rule set gets a full pass. Returns false if the
+// rewrite budget ran out.
+func (e *engine) saturate(structural bool) bool {
 	for i := range e.gates {
 		e.enqueue(int32(i))
 	}
@@ -211,12 +246,15 @@ func (e *engine) saturate(rules []Rule) bool {
 			continue
 		}
 		for r := range rules {
+			if rules[r].Structural && !structural {
+				continue
+			}
 			if e.budget <= 0 {
 				e.stats.BudgetExhausted = true
 				return false
 			}
 			if rules[r].fire(e, i) {
-				e.stats.Applied[rules[r].Name]++
+				e.applied[r]++
 				e.stats.Rewrites++
 				e.budget--
 				break // the rewrite re-enqueued whatever it touched
@@ -227,6 +265,12 @@ func (e *engine) saturate(rules []Rule) bool {
 }
 
 func (e *engine) finish() {
+	e.stats.Applied = make(map[string]int)
+	for r, n := range e.applied {
+		if n > 0 {
+			e.stats.Applied[rules[r].Name] = n
+		}
+	}
 	out := 0
 	two := 0
 	for i, g := range e.gates {
@@ -250,10 +294,10 @@ func (e *engine) pop() int32 {
 	i := e.queue[e.qhead]
 	e.qhead++
 	e.queued[i] = false
-	// Compact the drained prefix occasionally so long runs don't hold the
-	// whole history alive.
+	// Drop the drained prefix occasionally, in place, so long runs don't
+	// grow the queue with the whole history.
 	if e.qhead > 1024 && e.qhead*2 > len(e.queue) {
-		e.queue = append(e.queue[:0:0], e.queue[e.qhead:]...)
+		e.queue = e.queue[:copy(e.queue, e.queue[e.qhead:])]
 		e.qhead = 0
 	}
 	return i
@@ -275,9 +319,10 @@ func (e *engine) touch(i int32) {
 		return
 	}
 	e.enqueue(i)
-	for k := range e.gates[i].Qubits {
-		e.enqueue(e.prev[i][k])
-		e.enqueue(e.next[i][k])
+	prev, next := e.links(i)
+	for k := range prev {
+		e.enqueue(prev[k])
+		e.enqueue(next[k])
 	}
 }
 
@@ -285,17 +330,19 @@ func (e *engine) touch(i int32) {
 // the former neighbors (they may now be adjacent to a new partner).
 func (e *engine) remove(i int32) {
 	g := e.gates[i]
-	neighbors := make([]int32, 0, 2*len(g.Qubits))
+	prev, next := e.links(i)
+	var buf [8]int32
+	neighbors := buf[:0]
 	for k, q := range g.Qubits {
-		p, n := e.prev[i][k], e.next[i][k]
+		p, n := prev[k], next[k]
 		if p != none {
-			e.next[p][wireIdx(e.gates[p], q)] = n
+			e.next[e.slot(p, q)] = n
 			neighbors = append(neighbors, p)
 		} else {
 			e.head[q] = n
 		}
 		if n != none {
-			e.prev[n][wireIdx(e.gates[n], q)] = p
+			e.prev[e.slot(n, q)] = p
 			neighbors = append(neighbors, n)
 		} else {
 			e.tail[q] = p
@@ -308,45 +355,54 @@ func (e *engine) remove(i int32) {
 }
 
 // replace swaps node i's gate for g in place. g's qubit set must be a
-// subset of the old gate's (rules never insert nodes); links on dropped
-// wires are spliced out, links on kept wires are reused, so i keeps its
-// position in the circuit order.
+// subset of the old gate's (rules never insert nodes), so its links fit
+// i's slot; it panics otherwise. Links on dropped wires are spliced out,
+// links on kept wires are reused, so i keeps its position in the circuit
+// order.
 func (e *engine) replace(i int32, g circuit.Gate) {
 	old := e.gates[i]
-	keep := make(map[int]bool, len(g.Qubits))
-	for _, q := range g.Qubits {
-		keep[q] = true
+	prev, next := e.links(i)
+	// g's links, staged apart because a kept wire can change operand
+	// index: prev at k, next at n+k.
+	n := len(g.Qubits)
+	var buf [8]int32
+	staged := buf[:]
+	if 2*n > len(buf) {
+		staged = make([]int32, 2*n)
 	}
-	prev := make([]int32, len(g.Qubits))
-	next := make([]int32, len(g.Qubits))
+	kept := 0
 	for k, q := range old.Qubits {
-		if keep[q] {
-			nk := wireIdx(g, q)
-			prev[nk], next[nk] = e.prev[i][k], e.next[i][k]
+		if nk := slices.Index(g.Qubits, q); nk >= 0 {
+			staged[nk], staged[n+nk] = prev[k], next[k]
+			kept++
 			continue
 		}
 		// Splice node i out of the dropped wire.
-		p, n := e.prev[i][k], e.next[i][k]
+		p, nx := prev[k], next[k]
 		if p != none {
-			e.next[p][wireIdx(e.gates[p], q)] = n
+			e.next[e.slot(p, q)] = nx
 			e.touch(p)
 		} else {
-			e.head[q] = n
+			e.head[q] = nx
 		}
-		if n != none {
-			e.prev[n][wireIdx(e.gates[n], q)] = p
-			e.touch(n)
+		if nx != none {
+			e.prev[e.slot(nx, q)] = p
+			e.touch(nx)
 		} else {
 			e.tail[q] = p
 		}
 	}
+	if kept != n {
+		panic("rewrite: replacement gate is not on a subset of its node's qubits")
+	}
+	copy(prev, staged[:n])
+	copy(next, staged[n:2*n])
 	e.gates[i] = g
-	e.prev[i], e.next[i] = prev, next
 	e.touch(i)
 }
 
 // prevOn returns the neighbor before node i on qubit q's wire.
-func (e *engine) prevOn(i int32, q int) int32 { return e.prev[i][wireIdx(e.gates[i], q)] }
+func (e *engine) prevOn(i int32, q int) int32 { return e.prev[e.slot(i, q)] }
 
 // searchBack walks backward from node i across gates that commute with
 // gates[i], looking for the first node where match returns true. The walk
@@ -357,11 +413,10 @@ func (e *engine) prevOn(i int32, q int) int32 { return e.prev[i][wireIdx(e.gates
 // none if a non-commuting gate blocks the walk or the window limit runs out.
 func (e *engine) searchBack(i int32, match func(p circuit.Gate) bool) int32 {
 	g := e.gates[i]
-	cur := make([]int32, len(g.Qubits))
-	for k := range g.Qubits {
-		cur[k] = e.prev[i][k]
-	}
-	for steps := 0; steps < e.windowLimit; steps++ {
+	prev, _ := e.links(i)
+	var buf [4]int32
+	cur := append(buf[:0], prev...)
+	for steps := 0; steps < windowLimit; steps++ {
 		j := none
 		for k := range cur {
 			if cur[k] > j {
@@ -380,7 +435,7 @@ func (e *engine) searchBack(i int32, match func(p circuit.Gate) bool) int32 {
 		}
 		for k, q := range g.Qubits {
 			if cur[k] == j {
-				cur[k] = e.prev[j][wireIdx(p, q)]
+				cur[k] = e.prevOn(j, q)
 			}
 		}
 	}
@@ -391,6 +446,7 @@ func (e *engine) searchBack(i int32, match func(p circuit.Gate) bool) int32 {
 // order.
 func (e *engine) emit() *circuit.Circuit {
 	out := circuit.New(e.nq)
+	out.Gates = make([]circuit.Gate, 0, e.stats.GatesOut)
 	for i, g := range e.gates {
 		if e.alive[i] {
 			out.Append(g)

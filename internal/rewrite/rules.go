@@ -25,86 +25,84 @@ type Rule struct {
 	fire       func(e *engine, i int32) bool
 }
 
-// DefaultRules returns the standard rule table in priority order (the first
-// matching rule at a node wins). Order matters only for which normal form
-// is reached first — cancellations are tried before structural conversions
-// so conversions never consume gates a cheaper rule could delete.
-func DefaultRules() []Rule {
-	return []Rule{
-		{
-			Name:  "drop-identity",
-			Doc:   "delete id gates and rotations whose angle is 0 mod 2π (RZ/RX/RY up to global phase, U1/CP exactly)",
-			Exact: false,
-			fire:  fireDropIdentity,
-		},
-		{
-			Name:  "cancel-inverse",
-			Doc:   "delete a gate and its inverse when everything between them commutes with the gate",
-			Exact: true,
-			fire:  fireCancelInverse,
-		},
-		{
-			Name:  "merge-phase",
-			Doc:   "merge Z-axis phase gates (z/s/sdg/t/tdg/u1/rz) on one qubit across a commuting window, 2π-normalized",
-			Exact: false,
-			fire:  fireMergePhase,
-		},
-		{
-			Name:  "merge-x",
-			Doc:   "merge X-axis gates (x/sx/sxdg/rx) on one qubit across a commuting window, 2π-normalized",
-			Exact: false,
-			fire:  fireMergeX,
-		},
-		{
-			Name:  "merge-y",
-			Doc:   "merge Y-axis gates (y/ry) on one qubit across a commuting window, 2π-normalized",
-			Exact: false,
-			fire:  fireMergeY,
-		},
-		{
-			Name:  "merge-cphase",
-			Doc:   "merge same-pair controlled-phase gates (cp/cz) across a commuting window; cp(π) canonicalizes to cz",
-			Exact: true,
-			fire:  fireMergeCPhase,
-		},
-		{
-			Name:  "canon-cp-cz",
-			Doc:   "rewrite cp(±π) as cz, which lowers to 1 CX instead of 2",
-			Exact: true,
-			fire:  fireCanonCP,
-		},
-		{
-			Name:       "absorb-swap-cx",
-			Doc:        "fuse an adjacent same-pair swap+cx pair into two cx (swap·cx = cx·cx'), shedding a routing swap",
-			Exact:      true,
-			Structural: true,
-			fire:       fireAbsorbSwapCX,
-		},
-		{
-			Name:  "absorb-cx-sandwich",
-			Doc:   "collapse cx·A·cx sandwiches with a non-commuting 1q middle: x/y on control, z/y on target — deletes both cx",
-			Exact: true,
-			fire:  fireAbsorbCXSandwich,
-		},
-		{
-			Name:  "absorb-ccx-control-x",
-			Doc:   "collapse ccx·x(control)·ccx to x(control)·cx(other, target), deleting both Toffolis",
-			Exact: true,
-			fire:  fireAbsorbCCXControlX,
-		},
-		{
-			Name:  "sandwich-basis-change",
-			Doc:   "rewrite h·A·h on one wire by conjugating the middle: x↔z, rx↔rz, sx→s, y→y, u1→rx",
-			Exact: false,
-			fire:  fireSandwichBasisChange,
-		},
-		{
-			Name:  "conj-hh-cx-cz",
-			Doc:   "rewrite h(t)·cx·h(t) as cz and h(q)·cz·h(q) as cx, consuming both Hadamards",
-			Exact: true,
-			fire:  fireConjHHCXCZ,
-		},
-	}
+// rules is the rule table in priority order (the first matching rule at a
+// node wins). Order matters only for which normal form is reached first —
+// cancellations are tried before structural conversions so conversions
+// never consume gates a cheaper rule could delete.
+var rules = []Rule{
+	{
+		Name:  "drop-identity",
+		Doc:   "delete id gates and rotations whose angle is 0 mod 2π (RZ/RX/RY up to global phase, U1/CP exactly)",
+		Exact: false,
+		fire:  fireDropIdentity,
+	},
+	{
+		Name:  "cancel-inverse",
+		Doc:   "delete a gate and its inverse when everything between them commutes with the gate",
+		Exact: true,
+		fire:  fireCancelInverse,
+	},
+	{
+		Name:  "merge-phase",
+		Doc:   "merge Z-axis phase gates (z/s/sdg/t/tdg/u1/rz) on one qubit across a commuting window, 2π-normalized",
+		Exact: false,
+		fire:  fireMergePhase,
+	},
+	{
+		Name:  "merge-x",
+		Doc:   "merge X-axis gates (x/sx/sxdg/rx) on one qubit across a commuting window, 2π-normalized",
+		Exact: false,
+		fire:  fireMergeX,
+	},
+	{
+		Name:  "merge-y",
+		Doc:   "merge Y-axis gates (y/ry) on one qubit across a commuting window, 2π-normalized",
+		Exact: false,
+		fire:  fireMergeY,
+	},
+	{
+		Name:  "merge-cphase",
+		Doc:   "merge same-pair controlled-phase gates (cp/cz) across a commuting window; cp(π) canonicalizes to cz",
+		Exact: true,
+		fire:  fireMergeCPhase,
+	},
+	{
+		Name:  "canon-cp-cz",
+		Doc:   "rewrite cp(±π) as cz, which lowers to 1 CX instead of 2",
+		Exact: true,
+		fire:  fireCanonCP,
+	},
+	{
+		Name:       "absorb-swap-cx",
+		Doc:        "fuse an adjacent same-pair swap+cx pair into two cx (swap·cx = cx·cx'), shedding a routing swap",
+		Exact:      true,
+		Structural: true,
+		fire:       fireAbsorbSwapCX,
+	},
+	{
+		Name:  "absorb-cx-sandwich",
+		Doc:   "collapse cx·A·cx sandwiches with a non-commuting 1q middle: x/y on control, z/y on target — deletes both cx",
+		Exact: true,
+		fire:  fireAbsorbCXSandwich,
+	},
+	{
+		Name:  "absorb-ccx-control-x",
+		Doc:   "collapse ccx·x(control)·ccx to x(control)·cx(other, target), deleting both Toffolis",
+		Exact: true,
+		fire:  fireAbsorbCCXControlX,
+	},
+	{
+		Name:  "sandwich-basis-change",
+		Doc:   "rewrite h·A·h on one wire by conjugating the middle: x↔z, rx↔rz, sx→s, y→y, u1→rx",
+		Exact: false,
+		fire:  fireSandwichBasisChange,
+	},
+	{
+		Name:  "conj-hh-cx-cz",
+		Doc:   "rewrite h(t)·cx·h(t) as cz and h(q)·cz·h(q) as cx, consuming both Hadamards",
+		Exact: true,
+		fire:  fireConjHHCXCZ,
+	},
 }
 
 // --- drop-identity ----------------------------------------------------------
@@ -141,7 +139,7 @@ func cancelsPair(a, b circuit.Gate) bool {
 	if a.IsPseudo() || b.IsPseudo() {
 		return false
 	}
-	if a.Inverse().Equal(b) {
+	if a.IsInverse(b) {
 		return true
 	}
 	if symmetricName(a.Name) && a.Name == b.Name && sameFootprint(a, b) {
