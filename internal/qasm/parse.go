@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -361,15 +362,18 @@ func atoi(s []byte) (int, bool) {
 }
 
 // parseParam evaluates a parameter literal: a float, pi, -pi, pi/N, -pi/N,
-// or N*pi forms commonly found in QASM output.
+// or N*pi forms commonly found in QASM output. A value that is not finite
+// (nan, inf, or a form that overflows, such as 1e308*pi) is refused: it is
+// neither an OpenQASM 2.0 real nor a rotation.
 func parseParam(s []byte) (float64, error) {
 	// No float literal contains "pi", so the pi forms skip straight to
 	// their own parsing (a failed ParseFloat allocates its error).
 	if !bytes.Contains(s, []byte("pi")) {
 		if v, err := strconv.ParseFloat(string(s), 64); err == nil {
-			return v, nil
+			return finite(v, s)
 		}
 	}
+	orig := s
 	neg := false
 	if len(s) > 0 && s[0] == '-' {
 		neg = true
@@ -397,7 +401,16 @@ func parseParam(s []byte) (float64, error) {
 	if neg {
 		val = -val
 	}
-	return val, nil
+	return finite(val, orig)
+}
+
+// finite returns v, or the bad-parameter error for literal s when v is
+// NaN or infinite.
+func finite(v float64, s []byte) (float64, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("bad parameter %q", s)
+	}
+	return v, nil
 }
 
 const pi = 3.141592653589793

@@ -182,8 +182,17 @@ func refQubitRef(s, regName string) (int, error) {
 }
 
 // refParam evaluates a parameter literal: a float, pi, -pi, pi/N, -pi/N,
-// or N*pi forms commonly found in QASM output.
+// or N*pi forms commonly found in QASM output. A value that is not finite
+// is refused, quoting the whole literal.
 func refParam(s string) (float64, error) {
+	v, err := refValue(s)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		return 0, fmt.Errorf("bad parameter %q", s)
+	}
+	return v, err
+}
+
+func refValue(s string) (float64, error) {
 	if v, err := strconv.ParseFloat(s, 64); err == nil {
 		return v, nil
 	}

@@ -156,6 +156,59 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRefusesNonFiniteParams holds Parse and Reader to the rule that
+// a gate parameter is a finite real: NaN, the infinities and the pi forms
+// that overflow are refused with the bad-parameter error, while their
+// finite neighbours parse to their exact values.
+func TestParseRefusesNonFiniteParams(t *testing.T) {
+	cases := []struct {
+		param string
+		want  float64 // NaN: refused
+	}{
+		{"nan", math.NaN()},
+		{"NaN", math.NaN()},
+		{"-inf", math.NaN()},
+		{"+Inf", math.NaN()},
+		{"infinity", math.NaN()},
+		{"1e308*pi", math.NaN()},
+		{"-1e308*pi", math.NaN()},
+		{"pi/1e-320", math.NaN()},
+		{"-pi/1e-320", math.NaN()},
+		{"nan*pi", math.NaN()},
+		{"0x1p-2", 0.25},
+		{"1e308", 1e308},
+		{"-pi/2", -math.Pi / 2},
+		{"1e307*pi", 1e307 * math.Pi},
+		{"pi/1e-300", math.Pi / 1e-300},
+	}
+	for _, tc := range cases {
+		src := "qreg q[1];\nrz(" + tc.param + ") q[0];\n"
+		c, err := Parse(src)
+		r := NewReader(strings.NewReader(src))
+		g, rerr := r.NextGate()
+		if math.IsNaN(tc.want) {
+			want := fmt.Sprintf("qasm: line 2: bad parameter %q", tc.param)
+			if err == nil || err.Error() != want {
+				t.Errorf("Parse(rz(%s)): error %v, want %s", tc.param, err, want)
+			}
+			if rerr == nil || rerr.Error() != want {
+				t.Errorf("Reader(rz(%s)): error %v, want %s", tc.param, rerr, want)
+			}
+			continue
+		}
+		if err != nil || rerr != nil {
+			t.Errorf("rz(%s): Parse error %v, Reader error %v", tc.param, err, rerr)
+			continue
+		}
+		if got := c.Gates[0].Params[0]; got != tc.want {
+			t.Errorf("Parse(rz(%s)) = %v, want %v", tc.param, got, tc.want)
+		}
+		if got := g.Params[0]; got != tc.want {
+			t.Errorf("Reader(rz(%s)) = %v, want %v", tc.param, got, tc.want)
+		}
+	}
+}
+
 func TestRoundTripPreservesSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {

@@ -94,6 +94,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"bad qasm", `{"qasm": "this is not qasm"}`},
 		{"optimizer field", `{"benchmark":"bv-20","optimizer":"legacy"}`},
 		{"duplicate barrier qubit", `{"qasm": "qreg q[2]; barrier q[0], q[0];", "topology": "line"}`},
+		{"non-finite parameter", `{"qasm": "qreg q[2]; rz(nan) q[0];", "topology": "line"}`},
+		{"overflowing parameter", `{"qasm": "qreg q[2]; rz(1e308*pi) q[0];", "topology": "line"}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(tc.body))

@@ -135,6 +135,17 @@ func TestHTTPStreamCompileError(t *testing.T) {
 	}
 }
 
+// TestHTTPStreamRefusesNonFiniteParam: a parameter that is not a finite
+// real fails the parse before any output, so the endpoint answers 422
+// with the parser's error.
+func TestHTTPStreamRefusesNonFiniteParam(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, body := postStream(t, ts, "", strings.NewReader("OPENQASM 2.0;\nqreg q[2];\nrz(-inf) q[0];\n"))
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(body, `bad parameter \"-inf\"`) {
+		t.Fatalf("status %d, want 422 with the bad-parameter error (%s)", resp.StatusCode, body)
+	}
+}
+
 func TestHTTPStreamOverloadAndDrain(t *testing.T) {
 	s, ts := newTestServer(t)
 	// Fill the admission semaphore: the next stream must be shed with 429.
