@@ -93,10 +93,10 @@ type engine struct {
 	nq    int
 	gates []circuit.Gate
 	alive []bool
-	// Node i's wire links fill slots off[i] to off[i+1]-1 of prev and
-	// next: prev[off[i]+k] / next[off[i]+k] link it to its neighbors on
-	// the wire of its k-th operand qubit (none at the ends). A
-	// replacement only drops qubits, so it fits the slot of its node.
+	// Node i's wire links start at slot off[i] of prev and next, one per
+	// operand of its input gate: prev[off[i]+k] / next[off[i]+k] link it
+	// to its neighbors on the wire of its k-th operand qubit (none at the
+	// ends). A replacement only drops qubits, so it fits its node's slot.
 	off        []int32
 	prev, next []int32
 	// head[q] / tail[q] are the first/last alive node on qubit q's wire.
@@ -134,7 +134,7 @@ func (e *engine) load(c *circuit.Circuit, opts Options) {
 	e.alive = resize(e.alive, n)
 	e.queued = resize(e.queued, n)
 	clear(e.queued)
-	e.off = resize(e.off, n+1)
+	e.off = resize(e.off, n)
 	e.prev = resize(e.prev, links)
 	e.next = resize(e.next, links)
 	e.head = resize(e.head, c.NumQubits)
@@ -171,7 +171,6 @@ func (e *engine) load(c *circuit.Circuit, opts Options) {
 		}
 		slot += int32(len(g.Qubits))
 	}
-	e.off[n] = slot
 }
 
 // release drops the engine's references into this run's circuits (the

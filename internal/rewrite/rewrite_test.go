@@ -442,3 +442,27 @@ func TestStatsCountRules(t *testing.T) {
 		t.Fatalf("stats counts: %+v", st)
 	}
 }
+
+// TestReplacePanicsOffItsQubits: a replacement must be on a subset of its
+// node's qubits, so its links fit the node's slot; one on another qubit,
+// or on more qubits, is a bug in a rule and panics.
+func TestReplacePanicsOffItsQubits(t *testing.T) {
+	for _, g := range []circuit.Gate{
+		circuit.NewGate(circuit.X, []int{2}),
+		circuit.NewGate(circuit.CX, []int{0, 2}),
+		circuit.NewGate(circuit.CCX, []int{0, 1, 2}),
+	} {
+		c := circuit.New(3)
+		c.CX(0, 1).H(2)
+		e := new(engine)
+		e.load(c, Options{})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("replacing cx q[0], q[1] with %v did not panic", g)
+				}
+			}()
+			e.replace(0, g)
+		}()
+	}
+}
