@@ -2,12 +2,14 @@ package compiler
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"time"
 
 	"trios/internal/circuit"
 	"trios/internal/decompose"
+	"trios/internal/obs"
 	"trios/internal/topo"
 )
 
@@ -29,6 +31,11 @@ type Job struct {
 	// the serving layer need this — every HTTP request parses a fresh
 	// pointer, so pointer-keyed memoization could never hit across requests.
 	FrontKey string
+	// Span, when non-nil, is the request span the worker records the job
+	// under: queue:wait from Queued, the instant the job was queued, to its
+	// pickup, then the compile span. Both are unset when untraced.
+	Span   *obs.Span
+	Queued time.Time
 }
 
 // JobResult pairs a job with its outcome. Exactly one of Result and Err is
@@ -56,13 +63,7 @@ func (b *Batch) workers(jobs int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(w, jobs))
 }
 
 // Stream launches the worker pool over jobs and returns a channel delivering
@@ -73,17 +74,6 @@ func (b *Batch) Stream(ctx context.Context, jobs []Job) <-chan JobResult {
 	out := make(chan JobResult)
 	idx := make(chan int)
 	cache := newFrontCache()
-	// Warm each unique device's distance oracle once before the fan-out: the
-	// oracle lives on the Graph (keyed by device identity), so every job
-	// sharing a device shares one table build instead of workers racing to
-	// build it inside their first timed routing pass.
-	warmed := make(map[*topo.Graph]bool)
-	for i := range jobs {
-		if g := jobs[i].Graph; g != nil && !warmed[g] {
-			warmed[g] = true
-			g.EnsureOracle()
-		}
-	}
 	go func() {
 		defer close(idx)
 		for i := range jobs {
@@ -104,9 +94,7 @@ func (b *Batch) Stream(ctx context.Context, jobs []Job) <-chan JobResult {
 				if err := ctx.Err(); err != nil {
 					jr.Err = err
 				} else {
-					start := time.Now()
-					jr.Result, jr.Err = compileJob(ctx, cache, jobs[i])
-					jr.Elapsed = time.Since(start)
+					runJob(ctx, cache, &jr)
 				}
 				select {
 				case out <- jr:
@@ -138,12 +126,8 @@ func (b *Batch) Serve(ctx context.Context, in <-chan Job) <-chan JobResult {
 	out := make(chan JobResult)
 	cache := newFrontCache()
 	cache.max = 256
-	w := b.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	for i := 0; i < b.workers(math.MaxInt); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -159,9 +143,7 @@ func (b *Batch) Serve(ctx context.Context, in <-chan Job) <-chan JobResult {
 					}
 				}
 				jr := JobResult{Job: j, Index: -1}
-				start := time.Now()
-				jr.Result, jr.Err = compileJob(ctx, cache, j)
-				jr.Elapsed = time.Since(start)
+				runJob(ctx, cache, &jr)
 				out <- jr
 			}
 		}()
@@ -197,29 +179,50 @@ func (b *Batch) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
 	return results, nil
 }
 
-// compileJob compiles one job, reusing the batch's front cache. The
-// device-capacity check runs before the front so oversized jobs fail with
-// the same error as a direct Compile, without paying for (or caching) a
-// decomposition that can never route.
-func compileJob(ctx context.Context, cache *frontCache, j Job) (*Result, error) {
+// runJob compiles jr.Job for the pool worker that just picked it up and
+// fills jr's Result, Err and Elapsed. Under a request span, queue:wait ends
+// at pickup and the compile span shares Elapsed's two instants.
+func runJob(ctx context.Context, cache *frontCache, jr *JobResult) {
+	j := jr.Job
+	start := time.Now()
+	j.Span.ChildAt("queue:wait", j.Queued).EndAt(start)
+	cs := j.Span.ChildAt("compile", start)
+	jr.Result, jr.Err = compileJob(ctx, cache, j, cs)
+	end := time.Now()
+	jr.Elapsed = end.Sub(start)
+	cs.SetError(jr.Err)
+	cs.EndAt(end)
+}
+
+// compileJob compiles one job, reusing the batch's front cache, with its
+// spans under span. The device-capacity check runs before the front so
+// oversized jobs fail with the same error as a direct Compile, without
+// paying for (or caching) a decomposition that can never route.
+func compileJob(ctx context.Context, cache *frontCache, j Job, span *obs.Span) (*Result, error) {
 	if err := checkFits(j.Input.NumQubits, j.Graph); err != nil {
 		return nil, err
 	}
-	prepared, metrics, cached, err := cache.get(j.Input, j.FrontKey, j.Opts)
+	prepared, metrics, cached, err := cache.get(j.Input, j.FrontKey, j.Opts, span)
 	if err != nil {
 		return nil, err
 	}
 	if cached {
 		// Copy the shared metrics and mark them, so per-pass aggregation
-		// can attribute each front computation exactly once.
+		// can attribute each front computation exactly once. Their spans
+		// have no width: the passes did not run for this job.
+		var now time.Time
+		if span != nil {
+			now = time.Now()
+		}
 		marked := make([]PassMetric, len(metrics))
 		for i, m := range metrics {
 			m.Cached = true
 			marked[i] = m
+			recordPass(span, m, now, now)
 		}
 		metrics = marked
 	}
-	return compileFrom(ctx, j.Input, prepared, metrics, j.Graph, j.Opts)
+	return compileFrom(ctx, span, j.Input, prepared, metrics, j.Graph, j.Opts)
 }
 
 // frontKey identifies a front-pass computation: its output depends only on
@@ -258,7 +261,7 @@ func frontMode(opts Options) decompose.ToffoliMode {
 	}
 }
 
-// frontCache memoizes PrepareFront outputs per frontKey. Entries are filled
+// frontCache memoizes prepareFront outputs per frontKey. Entries are filled
 // once; concurrent jobs needing the same front block on the filling job
 // instead of recomputing.
 type frontCache struct {
@@ -286,9 +289,10 @@ func newFrontCache() *frontCache {
 }
 
 // get returns the memoized front output for (input, opts); cached reports
-// whether this call reused an entry another job computed. A non-empty
-// contentKey replaces pointer identity (see Job.FrontKey).
-func (fc *frontCache) get(input *circuit.Circuit, contentKey string, opts Options) (c *circuit.Circuit, metrics []PassMetric, cached bool, err error) {
+// whether this call reused an entry another job computed. A call that
+// computes the entry records the front passes' spans under span. A
+// non-empty contentKey replaces pointer identity (see Job.FrontKey).
+func (fc *frontCache) get(input *circuit.Circuit, contentKey string, opts Options, span *obs.Span) (c *circuit.Circuit, metrics []PassMetric, cached bool, err error) {
 	key := frontKey{input: input, pipeline: opts.Pipeline, mode: frontMode(opts), optimize: opts.Optimize}
 	if contentKey != "" {
 		key.input, key.content = nil, contentKey
@@ -305,7 +309,7 @@ func (fc *frontCache) get(input *circuit.Circuit, contentKey string, opts Option
 	fc.mu.Unlock()
 	filled := false
 	e.once.Do(func() {
-		e.c, e.metrics, e.err = PrepareFront(input, opts)
+		e.c, e.metrics, e.err = prepareFront(input, opts, span)
 		filled = true
 	})
 	return e.c, e.metrics, !filled, e.err

@@ -11,6 +11,7 @@ package compiler
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"trios/internal/circuit"
@@ -18,6 +19,7 @@ import (
 	"trios/internal/device"
 	"trios/internal/layout"
 	"trios/internal/noise"
+	"trios/internal/obs"
 	"trios/internal/optimize"
 	"trios/internal/rewrite"
 	"trios/internal/route"
@@ -34,6 +36,9 @@ type PassContext struct {
 	// cancelled compilation finishes its current pass and stops at the next
 	// boundary, so partially-transformed circuits never escape.
 	Ctx context.Context
+	// Span, when non-nil, is the parent of each pass's pass:<name> span,
+	// which shares its start and end with the pass's PassMetric.
+	Span *obs.Span
 	// Graph is the target coupling graph. It is read-only and may be shared
 	// across concurrent compilations.
 	Graph *topo.Graph
@@ -162,16 +167,38 @@ func (pm *PassManager) Run(ctx *PassContext) error {
 			return fmt.Errorf("compiler: %s pipeline, pass %s: %w", pm.label, p.Name(), err)
 		}
 		after = ctx.Circuit.CollectStats()
-		ctx.Metrics = append(ctx.Metrics, PassMetric{
+		end := time.Now()
+		m := PassMetric{
 			Pass:           p.Name(),
-			Duration:       time.Since(start),
+			Duration:       end.Sub(start),
 			GatesBefore:    before.Total,
 			GatesAfter:     after.Total,
 			TwoQubitBefore: before.TwoQubit,
 			TwoQubitAfter:  after.TwoQubit,
-		})
+		}
+		ctx.Metrics = append(ctx.Metrics, m)
+		recordPass(ctx.Span, m, start, end)
 	}
 	return nil
+}
+
+// recordPass records m as the pass:<name> child of parent from start to
+// end, the instants m.Duration was measured between, with m's gate counts
+// (and its cached mark) as attributes. On a nil parent it does nothing, so
+// an untraced compile builds no span name and formats no attribute.
+func recordPass(parent *obs.Span, m PassMetric, start, end time.Time) {
+	if parent == nil {
+		return
+	}
+	sp := parent.ChildAt("pass:"+m.Pass, start)
+	sp.SetAttr("gates_before", strconv.Itoa(m.GatesBefore))
+	sp.SetAttr("gates_after", strconv.Itoa(m.GatesAfter))
+	sp.SetAttr("two_qubit_before", strconv.Itoa(m.TwoQubitBefore))
+	sp.SetAttr("two_qubit_after", strconv.Itoa(m.TwoQubitAfter))
+	if m.Cached {
+		sp.SetAttr("cached", "true")
+	}
+	sp.EndAt(end)
 }
 
 // ---- Decompose passes ----
@@ -569,10 +596,10 @@ func PipelinePasses(opts Options) ([]Pass, error) {
 	return append(plan.front, plan.back()...), nil
 }
 
-// PrepareFront validates the input and runs only the front passes,
-// returning the prepared circuit and the metrics of the passes that ran.
-// The batch engine caches its output per (input, pipeline, mode, optimize).
-func PrepareFront(input *circuit.Circuit, opts Options) (*circuit.Circuit, []PassMetric, error) {
+// prepareFront validates the input and runs only the front passes, with
+// their spans under span, returning the prepared circuit and the passes'
+// metrics. The batch engine caches them per (input, pipeline, mode, optimize).
+func prepareFront(input *circuit.Circuit, opts Options, span *obs.Span) (*circuit.Circuit, []PassMetric, error) {
 	if err := input.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -580,7 +607,7 @@ func PrepareFront(input *circuit.Circuit, opts Options) (*circuit.Circuit, []Pas
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx := &PassContext{Opts: opts, Circuit: input}
+	ctx := &PassContext{Span: span, Opts: opts, Circuit: input}
 	pm := NewPassManager(opts.Pipeline.String()+"-front", plan.front...)
 	if err := pm.Run(ctx); err != nil {
 		return nil, nil, err
@@ -628,17 +655,21 @@ func prepare(numQubits int, g *topo.Graph, opts Options) (device.CostModel, erro
 // the (possibly cached) output of the front passes for this input and
 // configuration, and the front is skipped; frontMetrics carries the metrics
 // to attribute to it. Cancelling stdctx aborts at the next pass boundary.
-func compileFrom(stdctx context.Context, input, prepared *circuit.Circuit, frontMetrics []PassMetric, g *topo.Graph, opts Options) (*Result, error) {
+// The compile:prep span and each pass's span open under span, if non-nil.
+func compileFrom(stdctx context.Context, span *obs.Span, input, prepared *circuit.Circuit, frontMetrics []PassMetric, g *topo.Graph, opts Options) (*Result, error) {
+	prep := span.Child("compile:prep")
 	cm, err := prepare(input.NumQubits, g, opts)
+	prep.SetError(err)
+	prep.End()
 	if err != nil {
 		return nil, err
 	}
-	ctx := &PassContext{Ctx: stdctx, Graph: g, Opts: opts, Cost: cm}
+	ctx := &PassContext{Ctx: stdctx, Span: span, Graph: g, Opts: opts, Cost: cm}
 	if prepared != nil {
 		ctx.Circuit = prepared
 		ctx.Metrics = append(ctx.Metrics, frontMetrics...)
 	} else {
-		c, metrics, err := PrepareFront(input, opts)
+		c, metrics, err := prepareFront(input, opts, span)
 		if err != nil {
 			return nil, err
 		}

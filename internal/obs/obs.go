@@ -321,12 +321,17 @@ type Span struct {
 	ended bool
 }
 
-// Child opens a sub-span starting now.
-func (s *Span) Child(name string) *Span { return s.ChildAt(name, time.Now()) }
+// Child opens a sub-span starting now. A nil span reads no clock.
+func (s *Span) Child(name string) *Span {
+	if s == nil {
+		return nil
+	}
+	return s.ChildAt(name, time.Now())
+}
 
-// ChildAt opens a sub-span with an explicit start time — the reconstruction
-// hook for operations timed elsewhere (queue waits, per-pass compile metrics)
-// whose spans are recorded after the fact with EndAt.
+// ChildAt opens a sub-span at an instant the caller already read, so a span
+// and the timer beside it (a pass's PassMetric, a job's Elapsed) share their
+// timestamps; EndAt closes it the same way.
 func (s *Span) ChildAt(name string, start time.Time) *Span {
 	if s == nil {
 		return nil
@@ -369,8 +374,13 @@ func (s *Span) SetError(err error) {
 	s.err = err.Error()
 }
 
-// End records the span, ending now.
-func (s *Span) End() { s.EndAt(time.Now()) }
+// End records the span, ending now. A nil span reads no clock.
+func (s *Span) End() {
+	if s == nil {
+		return
+	}
+	s.EndAt(time.Now())
+}
 
 // EndAt records the span with an explicit end time. Ending a span twice is a
 // no-op; ending the trace's root span publishes the trace to the tracer's

@@ -3,8 +3,11 @@ package service
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -40,20 +43,30 @@ func traceSpan(tr obs.TraceSummary, name string) (obs.SpanData, bool) {
 	return obs.SpanData{}, false
 }
 
-// TestColdCompileTraceShape drives one cold compile and checks its trace: a
-// root HTTP span over cache probe, flight, queue wait, and a compile span
-// whose per-pass children account for (nearly) all of its duration.
+// TestColdCompileTraceShape drives one cold, optimized compile and checks
+// the worker's spans against the other two views of the same timers:
+// queue:wait ends by the time compile starts; compile holds the front
+// passes, compile:prep and the back passes in the order they ran, none
+// overlapping; each pass span lasts exactly its artifact duration_ns and
+// its rise in triosd_pass_seconds_sum, and the compile span exactly the
+// artifact's compile_ns.
 func TestColdCompileTraceShape(t *testing.T) {
 	_, ts, tracer := newTracedServer(t, Config{Workers: 2})
-	resp := postCompile(t, ts, CompileRequest{Benchmark: "cnx_dirty-11", Topology: "grid", Pipeline: "trios", Seed: seedp(5)})
+	before := passSecondsSums(t, ts)
+	resp := postCompile(t, ts, CompileRequest{Benchmark: "cnx_dirty-11", Topology: "grid", Pipeline: "trios", Seed: seedp(5), Optimize: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var art Artifact
+	if err := json.NewDecoder(resp.Body).Decode(&art); err != nil {
+		t.Fatal(err)
 	}
 	traceID := resp.Header.Get(obs.TraceHeader)
 	if len(traceID) != 32 {
 		t.Fatalf("X-Trios-Trace %q is not a 32-hex trace id", traceID)
 	}
 	waitForTrace(t, tracer, 1)
+	after := passSecondsSums(t, ts)
 
 	trc := tracer.Recent(1)[0]
 	if trc.TraceID != traceID {
@@ -71,26 +84,122 @@ func TestColdCompileTraceShape(t *testing.T) {
 	if root.Attrs == nil {
 		t.Fatal("root span has no attrs")
 	}
+	wait, _ := traceSpan(trc, "queue:wait")
 	compile, _ := traceSpan(trc, "compile")
-	var passSum int64
-	var passes int
+	if wait.ParentID != root.SpanID || compile.ParentID != root.SpanID {
+		t.Fatalf("queue:wait and compile parented to %s and %s, not the request span %s", wait.ParentID, compile.ParentID, root.SpanID)
+	}
+	if spanEnd(wait).After(compile.Start) {
+		t.Fatalf("queue:wait ends at %v, after compile starts at %v", spanEnd(wait), compile.Start)
+	}
+	if compile.DurationNs != art.CompileNanos {
+		t.Fatalf("compile span %d ns, artifact compile_ns %d", compile.DurationNs, art.CompileNanos)
+	}
+
+	// The compile span's children in start order must be the artifact's
+	// passes with compile:prep between the front and the back, which begins
+	// at layout:place.
+	var inner []obs.SpanData
 	for _, s := range trc.Spans {
-		if strings.HasPrefix(s.Name, "pass:") {
-			if s.ParentID != compile.SpanID {
-				t.Fatalf("pass span %s parented to %s, not the compile span", s.Name, s.ParentID)
-			}
-			passSum += s.DurationNs
-			passes++
+		if s.ParentID == compile.SpanID {
+			inner = append(inner, s)
 		}
 	}
-	if passes == 0 {
-		t.Fatal("no per-pass spans recorded")
+	sort.SliceStable(inner, func(i, j int) bool { return inner[i].Start.Before(inner[j].Start) })
+	var want []string
+	for _, p := range art.Passes {
+		if p.Pass == "layout:place" {
+			want = append(want, "compile:prep")
+		}
+		want = append(want, "pass:"+p.Pass)
 	}
-	// The passes run sequentially inside the compile span; their reconstructed
-	// durations must account for at least 90% of it.
-	if passSum < compile.DurationNs*9/10 || passSum > compile.DurationNs {
-		t.Fatalf("pass durations sum to %d ns, compile span is %d ns", passSum, compile.DurationNs)
+	if len(want) != len(art.Passes)+1 {
+		t.Fatalf("artifact passes %+v have no layout:place", art.Passes)
 	}
+	var got []string
+	for _, s := range inner {
+		got = append(got, s.Name)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("compile span children\n got %v\nwant %v", got, want)
+	}
+	for i := 1; i < len(inner); i++ {
+		if spanEnd(inner[i-1]).After(inner[i].Start) {
+			t.Fatalf("%s ends at %v, after %s starts at %v", inner[i-1].Name, spanEnd(inner[i-1]), inner[i].Name, inner[i].Start)
+		}
+	}
+	if first, last := inner[0], inner[len(inner)-1]; first.Start.Before(compile.Start) || spanEnd(last).After(spanEnd(compile)) {
+		t.Fatalf("children run %v..%v, outside the compile span %v..%v", first.Start, spanEnd(last), compile.Start, spanEnd(compile))
+	}
+
+	k := 0
+	for _, s := range inner {
+		if s.Name == "compile:prep" {
+			continue
+		}
+		p := art.Passes[k]
+		k++
+		if p.Cached {
+			t.Fatalf("pass %s cached on a cold compile", p.Pass)
+		}
+		if s.DurationNs != p.Duration.Nanoseconds() {
+			t.Errorf("%s span %d ns, artifact duration_ns %d", s.Name, s.DurationNs, p.Duration.Nanoseconds())
+		}
+		rise := after[p.Pass] - before[p.Pass]
+		if math.Abs(rise-float64(s.DurationNs)/1e9) > 1e-9 {
+			t.Errorf("%s: triosd_pass_seconds_sum rose %g s, span lasts %d ns", s.Name, rise, s.DurationNs)
+		}
+		for _, a := range []struct {
+			key  string
+			want int
+		}{{"gates_before", p.GatesBefore}, {"gates_after", p.GatesAfter}, {"two_qubit_before", p.TwoQubitBefore}, {"two_qubit_after", p.TwoQubitAfter}} {
+			if v := spanAttr(s, a.key); v != strconv.Itoa(a.want) {
+				t.Errorf("%s attr %s = %q, want %d", s.Name, a.key, v, a.want)
+			}
+		}
+	}
+}
+
+// spanEnd is the instant s ended.
+func spanEnd(s obs.SpanData) time.Time { return s.Start.Add(time.Duration(s.DurationNs)) }
+
+// spanAttr returns the value of s's attribute key, or "".
+func spanAttr(s obs.SpanData, key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return ""
+}
+
+// passSecondsSums scrapes /metrics for every triosd_pass_seconds_sum series,
+// keyed by pass name.
+func passSecondsSums(t *testing.T, ts *httptest.Server) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := make(map[string]float64)
+	for _, line := range strings.Split(string(raw), "\n") {
+		series, value, ok := strings.Cut(line, " ")
+		pass, found := strings.CutPrefix(series, `triosd_pass_seconds_sum{pass="`)
+		if !ok || !found {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		sums[strings.TrimSuffix(pass, `"}`)] = v
+	}
+	return sums
 }
 
 // TestInboundTraceparentHonored sends an explicit W3C traceparent and checks

@@ -272,8 +272,10 @@ func (s *Service) submit(spec *JobSpec, parent *obs.Span) (*Artifact, error) {
 	s.mu.Lock()
 	s.waiters[id] = ch
 	s.mu.Unlock()
-	job := compiler.Job{ID: id, Input: spec.Input, Graph: spec.Graph, Opts: spec.Opts, FrontKey: spec.InputDigest}
-	enq := time.Now()
+	job := compiler.Job{ID: id, Input: spec.Input, Graph: spec.Graph, Opts: spec.Opts, FrontKey: spec.InputDigest, Span: parent}
+	if parent != nil {
+		job.Queued = time.Now()
+	}
 	select {
 	case s.queue <- job:
 	default:
@@ -283,7 +285,6 @@ func (s *Service) submit(spec *JobSpec, parent *obs.Span) (*Artifact, error) {
 		return nil, ErrOverloaded
 	}
 	jr := <-ch
-	done := time.Now()
 	if jr.Err != nil {
 		// The pool cancels compiles only at shutdown; surface that as the
 		// drain, not as a defect of the request.
@@ -292,7 +293,6 @@ func (s *Service) submit(spec *JobSpec, parent *obs.Span) (*Artifact, error) {
 		}
 		return nil, &CompileError{Err: jr.Err}
 	}
-	s.recordCompileSpans(parent, jr, enq, done)
 	s.metrics.compileHist.observe(jr.Elapsed.Seconds())
 	a, err := buildArtifact(spec, jr)
 	if err != nil {
@@ -305,53 +305,6 @@ func (s *Service) submit(spec *JobSpec, parent *obs.Span) (*Artifact, error) {
 	// returns.
 	s.storePut(a, parent)
 	return a, nil
-}
-
-// recordCompileSpans reconstructs the worker-side spans of one cold compile
-// from the pool's timing data. The worker pool does not thread spans through
-// the compiler; instead the result's Elapsed and per-pass durations are laid
-// out backwards from the result's arrival time — the passes ran sequentially
-// at the end of Elapsed, so the pipeline window is [done - sum(passes),
-// done]. What Elapsed spent before the first timed pass (front-cache lookup,
-// cost-model checks, the one-time distance-oracle build) lands in an explicit
-// compile:prep span, so the compile span's per-pass children sum to its
-// duration exactly instead of silently under-accounting. Pass metrics served
-// from the front cache are marked cached with zero duration: the pass did
-// not run for this request.
-func (s *Service) recordCompileSpans(parent *obs.Span, jr compiler.JobResult, enq, done time.Time) {
-	if parent == nil {
-		return
-	}
-	var passSum time.Duration
-	for _, p := range jr.Result.Passes {
-		if !p.Cached {
-			passSum += p.Duration
-		}
-	}
-	compileStart := done.Add(-jr.Elapsed)
-	if compileStart.Before(enq) { // clock skew guard: the wait cannot be negative
-		compileStart = enq
-	}
-	pipelineStart := done.Add(-passSum)
-	if pipelineStart.Before(compileStart) { // pass timers cannot exceed Elapsed
-		pipelineStart = compileStart
-	}
-	qw := parent.ChildAt("queue:wait", enq)
-	qw.EndAt(compileStart)
-	prep := parent.ChildAt("compile:prep", compileStart)
-	prep.EndAt(pipelineStart)
-	cs := parent.ChildAt("compile", pipelineStart)
-	cursor := pipelineStart
-	for _, p := range jr.Result.Passes {
-		pc := cs.ChildAt("pass:"+p.Pass, cursor)
-		if p.Cached {
-			pc.SetAttr("cached", "true")
-		} else {
-			cursor = cursor.Add(p.Duration)
-		}
-		pc.EndAt(cursor)
-	}
-	cs.EndAt(done)
 }
 
 // storeGet probes the persistent tier and revives its pre-marshaled body

@@ -53,8 +53,8 @@ func (g *Graph) ensureOracle() *oracle {
 }
 
 // EnsureOracle eagerly builds the distance oracle (idempotent, concurrency
-// safe). The compiler's batch engine calls it once per unique device before
-// fanning jobs out, so the build is never duplicated inside timed passes.
+// safe). Every compile calls it in its prep step, before the first device
+// pass, so the build never lands inside a timed pass.
 func (g *Graph) EnsureOracle() { g.ensureOracle() }
 
 func buildOracle(g *Graph) *oracle {
