@@ -569,14 +569,34 @@ func sameFootprint(a, b circuit.Gate) bool {
 	return true
 }
 
-// normAngle wraps a rotation angle into (-π, π], snapping values within
-// 1e-12 of zero (after wrapping, so 2πk collapses too).
+// bigAngle is where angle arithmetic stops trusting floats. Below it, an
+// angle wraps by the float 2π and two angles merge by their float sum, as
+// every pinned output was computed. From it up, the float 2π's error times
+// the multiple removed reaches radians, and a sum can overflow or drop the
+// smaller operand, so angles are reduced exactly first.
+const bigAngle = 1 << 20
+
+// normAngle wraps a rotation angle into [-π, π], snapping values within
+// 1e-12 of zero (after wrapping, so 2πk collapses too). From bigAngle up it
+// wraps through math.Sin and math.Cos, which reduce their argument exactly.
 func normAngle(theta float64) float64 {
 	r := math.Remainder(theta, 2*math.Pi)
+	if math.Abs(theta) >= bigAngle {
+		r = math.Atan2(math.Sin(theta), math.Cos(theta))
+	}
 	if math.Abs(r) < 1e-12 {
 		return 0
 	}
 	return r
+}
+
+// addAngles is the angle of two merged rotations: their sum, after
+// wrapping each operand when either is bigAngle or more.
+func addAngles(a, b float64) float64 {
+	if math.Abs(a) >= bigAngle || math.Abs(b) >= bigAngle {
+		return normAngle(a) + normAngle(b)
+	}
+	return a + b
 }
 
 // angleIs reports whether theta is within float wobble of target.

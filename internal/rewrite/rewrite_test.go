@@ -7,6 +7,7 @@ import (
 
 	"trios/internal/benchmarks"
 	"trios/internal/circuit"
+	"trios/internal/qasm"
 	"trios/internal/sim"
 )
 
@@ -464,5 +465,43 @@ func TestReplacePanicsOffItsQubits(t *testing.T) {
 			}()
 			e.replace(0, g)
 		}()
+	}
+}
+
+// TestMergedRotationsStayFiniteAndEquivalent runs every merge rule on two
+// angle pairs a plain float sum gets wrong: 1e308 + 1e308 overflows, and
+// 1e17 + 0.1 drops the 0.1, where reducing by the float 2π is also off by
+// radians. Each merged parameter must be finite, the emitted QASM must
+// parse again, and the result must be equivalent to the input.
+func TestMergedRotationsStayFiniteAndEquivalent(t *testing.T) {
+	for _, pair := range [][2]float64{{1e308, 1e308}, {1e17, 0.1}} {
+		for _, name := range []circuit.Name{circuit.RZ, circuit.U1, circuit.RX, circuit.RY, circuit.CP} {
+			qs := []int{0}
+			if name == circuit.CP {
+				qs = []int{0, 1}
+			}
+			c := circuit.New(2)
+			c.Append(circuit.NewGate(name, qs, pair[0]))
+			c.Append(circuit.NewGate(name, qs, pair[1]))
+			out, st := Saturate(c, Options{})
+			if st.Rewrites == 0 {
+				t.Fatalf("%v(%g)·%v(%g): no rule fired", name, pair[0], name, pair[1])
+			}
+			for _, g := range out.Gates {
+				for _, p := range g.Params {
+					if math.IsNaN(p) || math.IsInf(p, 0) {
+						t.Fatalf("%v(%g)·%v(%g) merged to %v", name, pair[0], name, pair[1], gatesOf(out))
+					}
+				}
+			}
+			src, err := qasm.Emit(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := qasm.Parse(src); err != nil {
+				t.Fatalf("%v(%g)·%v(%g): emitted QASM does not parse: %v\n%s", name, pair[0], name, pair[1], err, src)
+			}
+			mustEquivalent(t, c, out, 7)
+		}
 	}
 }

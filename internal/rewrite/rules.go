@@ -243,7 +243,7 @@ func fireMergePhase(e *engine, i int32) bool {
 	pt, _, _ := phaseAngle(p)
 	anyU1 := g.Name == circuit.U1 || p.Name == circuit.U1
 	anyRZ := g.Name == circuit.RZ || p.Name == circuit.RZ
-	merged, keep := emitPhase(q, pt+gt, anyU1, anyRZ)
+	merged, keep := emitPhase(q, addAngles(pt, gt), anyU1, anyRZ)
 	e.remove(i)
 	if keep {
 		e.replace(j, merged)
@@ -307,7 +307,7 @@ func fireMergeX(e *engine, i int32) bool {
 	p := e.gates[j]
 	pt, _ := xAngle(p)
 	anyRX := g.Name == circuit.RX || p.Name == circuit.RX
-	merged, keep := emitX(q, pt+gt, anyRX)
+	merged, keep := emitX(q, addAngles(pt, gt), anyRX)
 	e.remove(i)
 	if keep {
 		e.replace(j, merged)
@@ -348,7 +348,7 @@ func fireMergeY(e *engine, i int32) bool {
 	p := e.gates[j]
 	pt, _ := yAngle(p)
 	anyRY := g.Name == circuit.RY || p.Name == circuit.RY
-	theta := normAngle(pt + gt)
+	theta := normAngle(addAngles(pt, gt))
 	e.remove(i)
 	switch {
 	case theta == 0:
@@ -400,7 +400,7 @@ func fireMergeCPhase(e *engine, i int32) bool {
 	}
 	p := e.gates[j]
 	pt, _ := cpAngle(p)
-	merged, keep := emitCPhase(p.Qubits[0], p.Qubits[1], pt+gt)
+	merged, keep := emitCPhase(p.Qubits[0], p.Qubits[1], addAngles(pt, gt))
 	e.remove(i)
 	if keep {
 		e.replace(j, merged)
