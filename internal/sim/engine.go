@@ -72,7 +72,7 @@ func (e *Engine) denseEquivalent(a, b *circuit.Circuit, trials int, seed int64) 
 		if err := pb.Run(sb, w); err != nil {
 			return false, fmt.Errorf("sim: circuit b: %w", err)
 		}
-		if sa.Fidelity(sb) < 1-EquivalenceTolerance {
+		if !(sa.Fidelity(sb) >= 1-EquivalenceTolerance) { // NaN fails too
 			return false, nil
 		}
 	}
@@ -198,7 +198,7 @@ func (e *Engine) denseCompiled(logical, physical *circuit.Circuit, nPhysical int
 		if err := pp.Run(got, w); err != nil {
 			return false, fmt.Errorf("sim: physical circuit: %w", err)
 		}
-		if got.Fidelity(want) < 1-EquivalenceTolerance {
+		if !(got.Fidelity(want) >= 1-EquivalenceTolerance) { // NaN fails too
 			return false, nil
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"trios/internal/circuit"
@@ -47,6 +48,31 @@ func TestEquivalentIgnoresGlobalPhase(t *testing.T) {
 	}
 	if !ok {
 		t.Error("global phase should not break equivalence")
+	}
+}
+
+// TestEquivalenceFailsNaN: a gate with a NaN parameter fills the state with
+// NaN, whose fidelity compares false against every threshold. Both checks
+// must call that not equivalent. The parser refuses NaN, so the circuit is
+// built directly.
+func TestEquivalenceFailsNaN(t *testing.T) {
+	bad := circuit.New(2)
+	bad.U1(math.NaN(), 0).CX(0, 1)
+	good := circuit.New(2)
+	good.CX(0, 1)
+	ok, err := Equivalent(bad, good, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Error("Equivalent: u1(NaN) q[0]; cx q[0],q[1] reported equivalent to cx q[0],q[1]")
+	}
+	ok, err = CompiledEquivalent(good, bad, 2, []int{0, 1}, []int{0, 1}, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok {
+		t.Error("CompiledEquivalent: u1(NaN) q[0]; cx q[0],q[1] reported equivalent to cx q[0],q[1]")
 	}
 }
 
