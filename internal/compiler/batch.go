@@ -188,10 +188,9 @@ func runJob(ctx context.Context, cache *frontCache, jr *JobResult) {
 	j.Span.ChildAt("queue:wait", j.Queued).EndAt(start)
 	cs := j.Span.ChildAt("compile", start)
 	jr.Result, jr.Err = compileJob(ctx, cache, j, cs)
-	end := time.Now()
-	jr.Elapsed = end.Sub(start)
+	jr.Elapsed = time.Since(start)
 	cs.SetError(jr.Err)
-	cs.EndAt(end)
+	cs.EndAt(start.Add(jr.Elapsed))
 }
 
 // compileJob compiles one job, reusing the batch's front cache, with its

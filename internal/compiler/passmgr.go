@@ -167,17 +167,16 @@ func (pm *PassManager) Run(ctx *PassContext) error {
 			return fmt.Errorf("compiler: %s pipeline, pass %s: %w", pm.label, p.Name(), err)
 		}
 		after = ctx.Circuit.CollectStats()
-		end := time.Now()
 		m := PassMetric{
 			Pass:           p.Name(),
-			Duration:       end.Sub(start),
+			Duration:       time.Since(start),
 			GatesBefore:    before.Total,
 			GatesAfter:     after.Total,
 			TwoQubitBefore: before.TwoQubit,
 			TwoQubitAfter:  after.TwoQubit,
 		}
 		ctx.Metrics = append(ctx.Metrics, m)
-		recordPass(ctx.Span, m, start, end)
+		recordPass(ctx.Span, m, start, start.Add(m.Duration))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -54,13 +56,7 @@ func TestColdCompileTraceShape(t *testing.T) {
 	_, ts, tracer := newTracedServer(t, Config{Workers: 2})
 	before := passSecondsSums(t, ts)
 	resp := postCompile(t, ts, CompileRequest{Benchmark: "cnx_dirty-11", Topology: "grid", Pipeline: "trios", Seed: seedp(5), Optimize: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var art Artifact
-	if err := json.NewDecoder(resp.Body).Decode(&art); err != nil {
-		t.Fatal(err)
-	}
+	art := decodeArtifact(t, resp)
 	traceID := resp.Header.Get(obs.TraceHeader)
 	if len(traceID) != 32 {
 		t.Fatalf("X-Trios-Trace %q is not a 32-hex trace id", traceID)
@@ -75,7 +71,7 @@ func TestColdCompileTraceShape(t *testing.T) {
 	if trc.Root != "POST /v1/compile" {
 		t.Fatalf("root span %q", trc.Root)
 	}
-	for _, name := range []string{"cache:l1", "flight", "queue:wait", "compile:prep", "compile"} {
+	for _, name := range []string{"cache:l1", "flight"} {
 		if _, ok := traceSpan(trc, name); !ok {
 			t.Fatalf("trace missing %s span; got %+v", name, trc.Spans)
 		}
@@ -84,61 +80,8 @@ func TestColdCompileTraceShape(t *testing.T) {
 	if root.Attrs == nil {
 		t.Fatal("root span has no attrs")
 	}
-	wait, _ := traceSpan(trc, "queue:wait")
-	compile, _ := traceSpan(trc, "compile")
-	if wait.ParentID != root.SpanID || compile.ParentID != root.SpanID {
-		t.Fatalf("queue:wait and compile parented to %s and %s, not the request span %s", wait.ParentID, compile.ParentID, root.SpanID)
-	}
-	if spanEnd(wait).After(compile.Start) {
-		t.Fatalf("queue:wait ends at %v, after compile starts at %v", spanEnd(wait), compile.Start)
-	}
-	if compile.DurationNs != art.CompileNanos {
-		t.Fatalf("compile span %d ns, artifact compile_ns %d", compile.DurationNs, art.CompileNanos)
-	}
-
-	// The compile span's children in start order must be the artifact's
-	// passes with compile:prep between the front and the back, which begins
-	// at layout:place.
-	var inner []obs.SpanData
-	for _, s := range trc.Spans {
-		if s.ParentID == compile.SpanID {
-			inner = append(inner, s)
-		}
-	}
-	sort.SliceStable(inner, func(i, j int) bool { return inner[i].Start.Before(inner[j].Start) })
-	var want []string
-	for _, p := range art.Passes {
-		if p.Pass == "layout:place" {
-			want = append(want, "compile:prep")
-		}
-		want = append(want, "pass:"+p.Pass)
-	}
-	if len(want) != len(art.Passes)+1 {
-		t.Fatalf("artifact passes %+v have no layout:place", art.Passes)
-	}
-	var got []string
-	for _, s := range inner {
-		got = append(got, s.Name)
-	}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Fatalf("compile span children\n got %v\nwant %v", got, want)
-	}
-	for i := 1; i < len(inner); i++ {
-		if spanEnd(inner[i-1]).After(inner[i].Start) {
-			t.Fatalf("%s ends at %v, after %s starts at %v", inner[i-1].Name, spanEnd(inner[i-1]), inner[i].Name, inner[i].Start)
-		}
-	}
-	if first, last := inner[0], inner[len(inner)-1]; first.Start.Before(compile.Start) || spanEnd(last).After(spanEnd(compile)) {
-		t.Fatalf("children run %v..%v, outside the compile span %v..%v", first.Start, spanEnd(last), compile.Start, spanEnd(compile))
-	}
-
-	k := 0
-	for _, s := range inner {
-		if s.Name == "compile:prep" {
-			continue
-		}
-		p := art.Passes[k]
-		k++
+	for i, s := range checkCompileTree(t, trc, art) {
+		p := art.Passes[i]
 		if p.Cached {
 			t.Fatalf("pass %s cached on a cold compile", p.Pass)
 		}
@@ -149,6 +92,145 @@ func TestColdCompileTraceShape(t *testing.T) {
 		if math.Abs(rise-float64(s.DurationNs)/1e9) > 1e-9 {
 			t.Errorf("%s: triosd_pass_seconds_sum rose %g s, span lasts %d ns", s.Name, rise, s.DurationNs)
 		}
+	}
+}
+
+// TestConcurrentTraceShapes compiles one program under four seeds at once
+// on two workers. The four jobs share a front-cache entry, so exactly one
+// of them runs the front passes and the others show them as cached,
+// zero-width spans; every trace keeps its order.
+func TestConcurrentTraceShapes(t *testing.T) {
+	_, ts, tracer := newTracedServer(t, Config{Workers: 2})
+	const n = 4
+	arts := make([]Artifact, n)
+	traceIDs := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, err := json.Marshal(CompileRequest{Benchmark: "cnx_dirty-11", Topology: "grid", Pipeline: "trios", Seed: seedp(int64(i + 1)), Optimize: true})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			if err := json.NewDecoder(resp.Body).Decode(&arts[i]); err != nil {
+				t.Error(err)
+			}
+			traceIDs[i] = resp.Header.Get(obs.TraceHeader)
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	waitForTrace(t, tracer, n)
+	byID := make(map[string]obs.TraceSummary)
+	for _, trc := range tracer.Recent(n) {
+		byID[trc.TraceID] = trc
+	}
+	filled := 0
+	for i, art := range arts {
+		trc, ok := byID[traceIDs[i]]
+		if !ok {
+			t.Fatalf("request %d: trace %s not retained", i, traceIDs[i])
+		}
+		for k, s := range checkCompileTree(t, trc, art) {
+			p := art.Passes[k]
+			switch {
+			case p.Cached && (spanAttr(s, "cached") != "true" || s.DurationNs != 0):
+				t.Errorf("request %d: cached %s has attr %q and %d ns", i, s.Name, spanAttr(s, "cached"), s.DurationNs)
+			case !p.Cached && (spanAttr(s, "cached") != "" || s.DurationNs != p.Duration.Nanoseconds()):
+				t.Errorf("request %d: %s has attr %q and %d ns, artifact %d ns", i, s.Name, spanAttr(s, "cached"), s.DurationNs, p.Duration.Nanoseconds())
+			}
+		}
+		if !art.Passes[0].Cached {
+			filled++
+		}
+	}
+	if filled != 1 {
+		t.Fatalf("%d of %d requests ran the shared front passes, want 1", filled, n)
+	}
+}
+
+// decodeArtifact checks resp is a 200 and decodes its artifact.
+func decodeArtifact(t *testing.T, resp *http.Response) Artifact {
+	t.Helper()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var art Artifact
+	if err := json.NewDecoder(resp.Body).Decode(&art); err != nil {
+		t.Fatal(err)
+	}
+	return art
+}
+
+// checkCompileTree checks the worker's side of trc against its artifact:
+// queue:wait and compile hang off the request span, queue:wait ends by the
+// time compile starts, compile lasts exactly compile_ns, and its children
+// are the artifact's passes, in order, with compile:prep before the first
+// back pass (layout:place), none overlapping and all inside compile. Each
+// pass span carries its metric's gate counts. It returns the pass spans in
+// the artifact's order.
+func checkCompileTree(t *testing.T, trc obs.TraceSummary, art Artifact) []obs.SpanData {
+	t.Helper()
+	root, _ := traceSpan(trc, "POST /v1/compile")
+	wait, okWait := traceSpan(trc, "queue:wait")
+	compile, okCompile := traceSpan(trc, "compile")
+	if !okWait || !okCompile {
+		t.Fatalf("trace lacks queue:wait or compile; got %+v", trc.Spans)
+	}
+	if wait.ParentID != root.SpanID || compile.ParentID != root.SpanID {
+		t.Fatalf("queue:wait and compile parented to %s and %s, not the request span %s", wait.ParentID, compile.ParentID, root.SpanID)
+	}
+	if spanEnd(wait).After(compile.Start) {
+		t.Fatalf("queue:wait ends at %v, after compile starts at %v", spanEnd(wait), compile.Start)
+	}
+	if compile.DurationNs != art.CompileNanos {
+		t.Fatalf("compile span %d ns, artifact compile_ns %d", compile.DurationNs, art.CompileNanos)
+	}
+	var inner []obs.SpanData
+	for _, s := range trc.Spans {
+		if s.ParentID == compile.SpanID {
+			inner = append(inner, s)
+		}
+	}
+	sort.SliceStable(inner, func(i, j int) bool { return inner[i].Start.Before(inner[j].Start) })
+	var want, got []string
+	for _, p := range art.Passes {
+		if p.Pass == "layout:place" {
+			want = append(want, "compile:prep")
+		}
+		want = append(want, "pass:"+p.Pass)
+	}
+	for _, s := range inner {
+		got = append(got, s.Name)
+	}
+	if len(want) != len(art.Passes)+1 || strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("compile span children\n got %v\nwant %v", got, want)
+	}
+	for i := 1; i < len(inner); i++ {
+		if spanEnd(inner[i-1]).After(inner[i].Start) {
+			t.Fatalf("%s ends at %v, after %s starts at %v", inner[i-1].Name, spanEnd(inner[i-1]), inner[i].Name, inner[i].Start)
+		}
+	}
+	if first, last := inner[0], inner[len(inner)-1]; first.Start.Before(compile.Start) || spanEnd(last).After(spanEnd(compile)) {
+		t.Fatalf("children run %v..%v, outside the compile span %v..%v", first.Start, spanEnd(last), compile.Start, spanEnd(compile))
+	}
+	var passes []obs.SpanData
+	for _, s := range inner {
+		if s.Name == "compile:prep" {
+			continue
+		}
+		p := art.Passes[len(passes)]
+		passes = append(passes, s)
 		for _, a := range []struct {
 			key  string
 			want int
@@ -158,6 +240,7 @@ func TestColdCompileTraceShape(t *testing.T) {
 			}
 		}
 	}
+	return passes
 }
 
 // spanEnd is the instant s ended.
