@@ -590,13 +590,16 @@ func normAngle(theta float64) float64 {
 	return r
 }
 
-// addAngles is the angle of two merged rotations: their sum, after
-// wrapping each operand when either is bigAngle or more.
+// addAngles is the angle of two merged rotations, wrapped by the float 2π.
+// The threshold is checked on the operands, not on their sum: two operands
+// below bigAngle add and wrap exactly as every pinned output was computed,
+// even when their sum reaches bigAngle; otherwise each operand is wrapped
+// exactly first.
 func addAngles(a, b float64) float64 {
 	if math.Abs(a) >= bigAngle || math.Abs(b) >= bigAngle {
-		return normAngle(a) + normAngle(b)
+		a, b = normAngle(a), normAngle(b)
 	}
-	return a + b
+	return math.Remainder(a+b, 2*math.Pi)
 }
 
 // angleIs reports whether theta is within float wobble of target.

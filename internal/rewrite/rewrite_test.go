@@ -472,9 +472,13 @@ func TestReplacePanicsOffItsQubits(t *testing.T) {
 // angle pairs a plain float sum gets wrong: 1e308 + 1e308 overflows, and
 // 1e17 + 0.1 drops the 0.1, where reducing by the float 2π is also off by
 // radians. Each merged parameter must be finite, the emitted QASM must
-// parse again, and the result must be equivalent to the input.
+// parse again, and the result must be equivalent to the input. A third
+// pair, 6e5 + 6e5, has operands below bigAngle and a sum above it: its
+// merged angle must stay the float sum wrapped by the float 2π, bit for
+// bit, as optimize-on output was computed before large angles were
+// reduced exactly.
 func TestMergedRotationsStayFiniteAndEquivalent(t *testing.T) {
-	for _, pair := range [][2]float64{{1e308, 1e308}, {1e17, 0.1}} {
+	for _, pair := range [][2]float64{{1e308, 1e308}, {1e17, 0.1}, {6e5, 6e5}} {
 		for _, name := range []circuit.Name{circuit.RZ, circuit.U1, circuit.RX, circuit.RY, circuit.CP} {
 			qs := []int{0}
 			if name == circuit.CP {
@@ -502,6 +506,12 @@ func TestMergedRotationsStayFiniteAndEquivalent(t *testing.T) {
 				t.Fatalf("%v(%g)·%v(%g): emitted QASM does not parse: %v\n%s", name, pair[0], name, pair[1], err, src)
 			}
 			mustEquivalent(t, c, out, 7)
+			if math.Abs(pair[0]) < bigAngle && math.Abs(pair[1]) < bigAngle {
+				want := math.Remainder(pair[0]+pair[1], 2*math.Pi)
+				if len(out.Gates) != 1 || len(out.Gates[0].Params) != 1 || math.Float64bits(out.Gates[0].Params[0]) != math.Float64bits(want) {
+					t.Fatalf("%v(%g)·%v(%g) merged to %v, want one %v(%v)", name, pair[0], name, pair[1], gatesOf(out), name, want)
+				}
+			}
 		}
 	}
 }
