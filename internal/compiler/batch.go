@@ -2,7 +2,6 @@ package compiler
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -63,7 +62,13 @@ func (b *Batch) workers(jobs int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return max(1, min(w, jobs))
+	if w > jobs {
+		w = jobs
+	}
+	if w < 1 {
+		w = 1
+	}
+	return w
 }
 
 // Stream launches the worker pool over jobs and returns a channel delivering
@@ -126,8 +131,12 @@ func (b *Batch) Serve(ctx context.Context, in <-chan Job) <-chan JobResult {
 	out := make(chan JobResult)
 	cache := newFrontCache()
 	cache.max = 256
+	w := b.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < b.workers(math.MaxInt); i++ {
+	for i := 0; i < w; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -187,41 +196,10 @@ func runJob(ctx context.Context, cache *frontCache, jr *JobResult) {
 	start := time.Now()
 	j.Span.ChildAt("queue:wait", j.Queued).EndAt(start)
 	cs := j.Span.ChildAt("compile", start)
-	jr.Result, jr.Err = compileJob(ctx, cache, j, cs)
+	jr.Result, jr.Err = compileFrom(ctx, cs, cache, j)
 	jr.Elapsed = time.Since(start)
 	cs.SetError(jr.Err)
 	cs.EndAt(start.Add(jr.Elapsed))
-}
-
-// compileJob compiles one job, reusing the batch's front cache, with its
-// spans under span. The device-capacity check runs before the front so
-// oversized jobs fail with the same error as a direct Compile, without
-// paying for (or caching) a decomposition that can never route.
-func compileJob(ctx context.Context, cache *frontCache, j Job, span *obs.Span) (*Result, error) {
-	if err := checkFits(j.Input.NumQubits, j.Graph); err != nil {
-		return nil, err
-	}
-	prepared, metrics, cached, err := cache.get(j.Input, j.FrontKey, j.Opts, span)
-	if err != nil {
-		return nil, err
-	}
-	if cached {
-		// Copy the shared metrics and mark them, so per-pass aggregation
-		// can attribute each front computation exactly once. Their spans
-		// have no width: the passes did not run for this job.
-		var now time.Time
-		if span != nil {
-			now = time.Now()
-		}
-		marked := make([]PassMetric, len(metrics))
-		for i, m := range metrics {
-			m.Cached = true
-			marked[i] = m
-			recordPass(span, m, now, now)
-		}
-		metrics = marked
-	}
-	return compileFrom(ctx, span, j.Input, prepared, metrics, j.Graph, j.Opts)
 }
 
 // frontKey identifies a front-pass computation: its output depends only on
@@ -287,11 +265,18 @@ func newFrontCache() *frontCache {
 	return &frontCache{m: make(map[frontKey]*frontEntry)}
 }
 
-// get returns the memoized front output for (input, opts); cached reports
-// whether this call reused an entry another job computed. A call that
-// computes the entry records the front passes' spans under span. A
-// non-empty contentKey replaces pointer identity (see Job.FrontKey).
-func (fc *frontCache) get(input *circuit.Circuit, contentKey string, opts Options, span *obs.Span) (c *circuit.Circuit, metrics []PassMetric, cached bool, err error) {
+// get returns the front output for (input, opts), memoized per frontKey
+// unless fc is nil, and its pass metrics in a slice the caller may append
+// to. A call that computes the output records the front passes' spans
+// under span. A call that reuses an entry another job computed gets the
+// metrics marked Cached, so per-pass aggregation attributes each front
+// computation exactly once, and their spans have no width: the passes did
+// not run for this job. A non-empty contentKey replaces pointer identity
+// (see Job.FrontKey).
+func (fc *frontCache) get(input *circuit.Circuit, contentKey string, opts Options, span *obs.Span) (*circuit.Circuit, []PassMetric, error) {
+	if fc == nil {
+		return prepareFront(input, opts, span)
+	}
 	key := frontKey{input: input, pipeline: opts.Pipeline, mode: frontMode(opts), optimize: opts.Optimize}
 	if contentKey != "" {
 		key.input, key.content = nil, contentKey
@@ -311,5 +296,18 @@ func (fc *frontCache) get(input *circuit.Circuit, contentKey string, opts Option
 		e.c, e.metrics, e.err = prepareFront(input, opts, span)
 		filled = true
 	})
-	return e.c, e.metrics, !filled, e.err
+	if filled || e.err != nil {
+		return e.c, e.metrics[:len(e.metrics):len(e.metrics)], e.err
+	}
+	var now time.Time
+	if span != nil {
+		now = time.Now()
+	}
+	marked := make([]PassMetric, len(e.metrics))
+	for i, m := range e.metrics {
+		m.Cached = true
+		marked[i] = m
+		recordPass(span, m, now, now)
+	}
+	return e.c, marked, nil
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // TestBatchSharedDeviceOracle runs a high-worker batch where every job
-// shares one freshly constructed Graph per device — the batch warms each
-// device's distance oracle exactly once and the workers then query it
-// concurrently (exercised under -race via make race) — and asserts the
-// results are bit-identical to compiling each job against its own private
-// Graph instance, i.e. oracle sharing is invisible to outputs.
+// shares one freshly constructed Graph per device — the first compile's
+// prepare step builds each device's distance oracle and the workers then
+// query it concurrently (exercised under -race via make race) — and asserts
+// the results are bit-identical to compiling each job against its own
+// private Graph instance, i.e. oracle sharing is invisible to outputs.
 func TestBatchSharedDeviceOracle(t *testing.T) {
 	jobs := batchTestJobs(t)
 	rs, err := (&Batch{Workers: 8}).Run(context.Background(), jobs)

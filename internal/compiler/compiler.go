@@ -182,7 +182,7 @@ func (r *Result) TwoQubitGates() int { return r.Physical.TwoQubitCount() }
 // The pipeline is assembled from named passes (see passmgr.go) and every
 // stage's wall-clock and gate-count deltas land in Result.Passes.
 func Compile(input *circuit.Circuit, g *topo.Graph, opts Options) (*Result, error) {
-	return compileFrom(context.Background(), nil, input, nil, nil, g, opts)
+	return compileFrom(context.Background(), nil, nil, Job{Input: input, Graph: g, Opts: opts})
 }
 
 func initialLayout(c *circuit.Circuit, g *topo.Graph, opts Options, cm device.CostModel) (*layout.Layout, error) {

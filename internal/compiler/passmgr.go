@@ -36,9 +36,9 @@ type PassContext struct {
 	// cancelled compilation finishes its current pass and stops at the next
 	// boundary, so partially-transformed circuits never escape.
 	Ctx context.Context
-	// Span, when non-nil, is the parent of each pass's pass:<name> span,
+	// span, when non-nil, is the parent of each pass's pass:<name> span,
 	// which shares its start and end with the pass's PassMetric.
-	Span *obs.Span
+	span *obs.Span
 	// Graph is the target coupling graph. It is read-only and may be shared
 	// across concurrent compilations.
 	Graph *topo.Graph
@@ -176,7 +176,7 @@ func (pm *PassManager) Run(ctx *PassContext) error {
 			TwoQubitAfter:  after.TwoQubit,
 		}
 		ctx.Metrics = append(ctx.Metrics, m)
-		recordPass(ctx.Span, m, start, start.Add(m.Duration))
+		recordPass(ctx.span, m, start, start.Add(m.Duration))
 	}
 	return nil
 }
@@ -606,7 +606,7 @@ func prepareFront(input *circuit.Circuit, opts Options, span *obs.Span) (*circui
 	if err != nil {
 		return nil, nil, err
 	}
-	ctx := &PassContext{Span: span, Opts: opts, Circuit: input}
+	ctx := &PassContext{span: span, Opts: opts, Circuit: input}
 	pm := NewPassManager(opts.Pipeline.String()+"-front", plan.front...)
 	if err := pm.Run(ctx); err != nil {
 		return nil, nil, err
@@ -650,45 +650,40 @@ func prepare(numQubits int, g *topo.Graph, opts Options) (device.CostModel, erro
 	return cm, nil
 }
 
-// compileFrom runs the pipeline for opts. When prepared is non-nil it is
-// the (possibly cached) output of the front passes for this input and
-// configuration, and the front is skipped; frontMetrics carries the metrics
-// to attribute to it. Cancelling stdctx aborts at the next pass boundary.
-// The compile:prep span and each pass's span open under span, if non-nil.
-func compileFrom(stdctx context.Context, span *obs.Span, input, prepared *circuit.Circuit, frontMetrics []PassMetric, g *topo.Graph, opts Options) (*Result, error) {
+// compileFrom runs the pipeline for j: prepare, then the front passes
+// through cache (which may be nil), then the back passes. A program that
+// cannot fit or whose calibration does not match fails before any pass, so
+// no front output is computed or cached for it. Cancelling stdctx aborts at
+// the next pass boundary. The compile:prep span and each pass's span open
+// under span, if non-nil.
+func compileFrom(stdctx context.Context, span *obs.Span, cache *frontCache, j Job) (*Result, error) {
 	prep := span.Child("compile:prep")
-	cm, err := prepare(input.NumQubits, g, opts)
+	cm, err := prepare(j.Input.NumQubits, j.Graph, j.Opts)
 	prep.SetError(err)
 	prep.End()
 	if err != nil {
 		return nil, err
 	}
-	ctx := &PassContext{Ctx: stdctx, Span: span, Graph: g, Opts: opts, Cost: cm}
-	if prepared != nil {
-		ctx.Circuit = prepared
-		ctx.Metrics = append(ctx.Metrics, frontMetrics...)
-	} else {
-		c, metrics, err := prepareFront(input, opts, span)
-		if err != nil {
-			return nil, err
-		}
-		ctx.Circuit, ctx.Metrics = c, metrics
-	}
-	plan, err := planPasses(opts)
+	ctx := &PassContext{Ctx: stdctx, span: span, Graph: j.Graph, Opts: j.Opts, Cost: cm}
+	ctx.Circuit, ctx.Metrics, err = cache.get(j.Input, j.FrontKey, j.Opts, span)
 	if err != nil {
 		return nil, err
 	}
-	pm := NewPassManager(opts.Pipeline.String(), plan.back()...)
+	plan, err := planPasses(j.Opts)
+	if err != nil {
+		return nil, err
+	}
+	pm := NewPassManager(j.Opts.Pipeline.String(), plan.back()...)
 	if err := pm.Run(ctx); err != nil {
 		return nil, err
 	}
 	return &Result{
-		Input:            input,
+		Input:            j.Input,
 		Physical:         ctx.Circuit,
 		Initial:          ctx.Init.VirtualToPhys(),
 		Final:            finalPlacement(ctx.Final, ctx.fixup),
 		SwapsAdded:       ctx.SwapsAdded,
-		Graph:            g,
+		Graph:            j.Graph,
 		Passes:           ctx.Metrics,
 		CostModel:        cm.Name(),
 		EstimatedSuccess: ctx.EstimatedSuccess,

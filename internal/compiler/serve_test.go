@@ -106,7 +106,7 @@ func TestCompileContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = compileFrom(ctx, nil, input, nil, nil, topo.Johannesburg(), Options{Pipeline: TriosPipeline, Placement: PlaceGreedy, Seed: 1})
+	_, err = compileFrom(ctx, nil, nil, Job{Input: input, Graph: topo.Johannesburg(), Opts: Options{Pipeline: TriosPipeline, Placement: PlaceGreedy, Seed: 1}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -176,7 +176,7 @@ func TestFrontCacheBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := fc.get(input, "", Options{Pipeline: TriosPipeline}, nil); err != nil {
+		if _, _, err := fc.get(input, "", Options{Pipeline: TriosPipeline}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,21 +209,21 @@ func TestFrontCacheContentKey(t *testing.T) {
 	}
 	fc := newFrontCache()
 	opts := Options{Pipeline: TriosPipeline}
-	c1, _, cached1, err := fc.get(in1, "digest-A", opts, nil)
-	if err != nil || cached1 {
-		t.Fatalf("first get: cached=%v err=%v", cached1, err)
+	c1, m1, err := fc.get(in1, "digest-A", opts, nil)
+	if err != nil || m1[0].Cached {
+		t.Fatalf("first get: cached=%v err=%v", m1[0].Cached, err)
 	}
-	c2, _, cached2, err := fc.get(in2, "digest-A", opts, nil)
-	if err != nil || !cached2 {
-		t.Fatalf("second get: cached=%v err=%v", cached2, err)
+	c2, m2, err := fc.get(in2, "digest-A", opts, nil)
+	if err != nil || !m2[0].Cached {
+		t.Fatalf("second get: cached=%v err=%v", m2[0].Cached, err)
 	}
 	if c1 != c2 {
 		t.Fatal("content-keyed gets returned different prepared circuits")
 	}
 	// A different content key must not alias.
-	_, _, cached3, err := fc.get(in2, "digest-B", opts, nil)
-	if err != nil || cached3 {
-		t.Fatalf("distinct content key: cached=%v err=%v", cached3, err)
+	_, m3, err := fc.get(in2, "digest-B", opts, nil)
+	if err != nil || m3[0].Cached {
+		t.Fatalf("distinct content key: cached=%v err=%v", m3[0].Cached, err)
 	}
 }
 

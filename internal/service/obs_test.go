@@ -47,8 +47,8 @@ func traceSpan(tr obs.TraceSummary, name string) (obs.SpanData, bool) {
 
 // TestColdCompileTraceShape drives one cold, optimized compile and checks
 // the worker's spans against the other two views of the same timers:
-// queue:wait ends by the time compile starts; compile holds the front
-// passes, compile:prep and the back passes in the order they ran, none
+// queue:wait ends by the time compile starts; compile holds compile:prep,
+// the front passes and the back passes in the order they ran, none
 // overlapping; each pass span lasts exactly its artifact duration_ns and
 // its rise in triosd_pass_seconds_sum, and the compile span exactly the
 // artifact's compile_ns.
@@ -175,8 +175,8 @@ func decodeArtifact(t *testing.T, resp *http.Response) Artifact {
 // checkCompileTree checks the worker's side of trc against its artifact:
 // queue:wait and compile hang off the request span, queue:wait ends by the
 // time compile starts, compile lasts exactly compile_ns, and its children
-// are the artifact's passes, in order, with compile:prep before the first
-// back pass (layout:place), none overlapping and all inside compile. Each
+// are compile:prep and then the artifact's passes, in order, none
+// overlapping and all inside compile. Each
 // pass span carries its metric's gate counts. It returns the pass spans in
 // the artifact's order.
 func checkCompileTree(t *testing.T, trc obs.TraceSummary, art Artifact) []obs.SpanData {
@@ -203,17 +203,15 @@ func checkCompileTree(t *testing.T, trc obs.TraceSummary, art Artifact) []obs.Sp
 		}
 	}
 	sort.SliceStable(inner, func(i, j int) bool { return inner[i].Start.Before(inner[j].Start) })
-	var want, got []string
+	want := []string{"compile:prep"}
 	for _, p := range art.Passes {
-		if p.Pass == "layout:place" {
-			want = append(want, "compile:prep")
-		}
 		want = append(want, "pass:"+p.Pass)
 	}
+	var got []string
 	for _, s := range inner {
 		got = append(got, s.Name)
 	}
-	if len(want) != len(art.Passes)+1 || strings.Join(got, " ") != strings.Join(want, " ") {
+	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("compile span children\n got %v\nwant %v", got, want)
 	}
 	for i := 1; i < len(inner); i++ {
@@ -224,13 +222,9 @@ func checkCompileTree(t *testing.T, trc obs.TraceSummary, art Artifact) []obs.Sp
 	if first, last := inner[0], inner[len(inner)-1]; first.Start.Before(compile.Start) || spanEnd(last).After(spanEnd(compile)) {
 		t.Fatalf("children run %v..%v, outside the compile span %v..%v", first.Start, spanEnd(last), compile.Start, spanEnd(compile))
 	}
-	var passes []obs.SpanData
-	for _, s := range inner {
-		if s.Name == "compile:prep" {
-			continue
-		}
-		p := art.Passes[len(passes)]
-		passes = append(passes, s)
+	passes := inner[1:]
+	for i, s := range passes {
+		p := art.Passes[i]
 		for _, a := range []struct {
 			key  string
 			want int
