@@ -5,9 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -136,92 +134,4 @@ func readCompileDigests(t *testing.T, path string) map[string]string {
 		t.Fatalf("%s pins no cells", path)
 	}
 	return want
-}
-
-// groupsDigestsFixture is compileDigestsFixture's counterpart for the
-// groups pipeline: one line per cell of TestGroupsDigestsPinned (program,
-// topology, optimize) and the digest of its output.
-const groupsDigestsFixture = "testdata/groups_digests.txt"
-
-// TestGroupsDigestsPinned pins the bytes `trios -pipeline groups` emits,
-// which neither sweep above reaches: every -list benchmark and every
-// program of mcxPrograms on johannesburg, grid, line and clusters, with
-// -optimize off and on (168 programs).
-func TestGroupsDigestsPinned(t *testing.T) {
-	want := readCompileDigests(t, groupsDigestsFixture)
-	type program struct {
-		name  string
-		input []string // the -benchmark or -in flag naming the program
-	}
-	var programs []program
-	for _, b := range benchmarks.All() {
-		programs = append(programs, program{b.Name, []string{"-benchmark", b.Name}})
-	}
-	dir := t.TempDir()
-	for _, p := range mcxPrograms() {
-		path := filepath.Join(dir, p.name+".qasm")
-		if err := os.WriteFile(path, []byte(p.src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		programs = append(programs, program{p.name, []string{"-in", path}})
-	}
-	seen := 0
-	for _, p := range programs {
-		for _, topology := range []string{"johannesburg", "grid", "line", "clusters"} {
-			for _, optimize := range []string{"off", "on"} {
-				cell := strings.Join([]string{p.name, topology, optimize}, " ")
-				args := append([]string{"-topology", topology, "-pipeline", "groups"}, p.input...)
-				if optimize == "on" {
-					args = append(args, "-optimize")
-				}
-				var out bytes.Buffer
-				if err := run(args, &out); err != nil {
-					t.Fatalf("%s: %v", cell, err)
-				}
-				sum := sha256.Sum256(out.Bytes())
-				got := hex.EncodeToString(sum[:])
-				seen++
-				if want[cell] != got {
-					t.Errorf("%s: digest changed; now: %s %s", cell, cell, got)
-				}
-			}
-		}
-	}
-	if seen != len(want) {
-		t.Errorf("swept %d cells, fixture pins %d", seen, len(want))
-	}
-}
-
-// mcxPrograms returns the MCX-native inputs of TestGroupsDigestsPinned,
-// the arity the groups pipeline routes intact: incrementers of 5, 10 and 15
-// qubits whose carries are single mcx gates (mcx_incrementer-N), and single
-// mcx gates with 4 to 10 controls (mcx-K).
-func mcxPrograms() []struct{ name, src string } {
-	var out []struct{ name, src string }
-	mcx := func(b *strings.Builder, controls int) {
-		b.WriteString("mcx ")
-		for q := 0; q <= controls; q++ {
-			if q > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(b, "q[%d]", q)
-		}
-		b.WriteString(";\n")
-	}
-	for _, n := range []int{5, 10, 15} {
-		var b strings.Builder
-		fmt.Fprintf(&b, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[%d];\n", n)
-		for target := n - 1; target >= 2; target-- {
-			mcx(&b, target)
-		}
-		b.WriteString("cx q[0],q[1];\nx q[0];\n")
-		out = append(out, struct{ name, src string }{fmt.Sprintf("mcx_incrementer-%d", n), b.String()})
-	}
-	for k := 4; k <= 10; k++ {
-		var b strings.Builder
-		fmt.Fprintf(&b, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[%d];\n", k+1)
-		mcx(&b, k)
-		out = append(out, struct{ name, src string }{fmt.Sprintf("mcx-%d", k), b.String()})
-	}
-	return out
 }

@@ -1,7 +1,7 @@
 // Command trios compiles OpenQASM 2.0 programs for a target device with
 // either the conventional (decompose-first) pipeline or the Orchestrated
 // Trios pipeline, and reports the compiled statistics the paper evaluates.
-// When several pipelines are requested (-pipeline both/all) they compile
+// When both pipelines are requested (-pipeline both) they compile
 // concurrently through the batch engine; -workers caps the parallelism.
 //
 // Usage:
@@ -56,7 +56,7 @@ func run(args []string, out io.Writer) error {
 		list        = fs.Bool("list", false, "list available benchmarks and exit")
 		outPath     = fs.String("out", "", "write compiled OpenQASM here (default: stdout when not printing stats)")
 		topoName    = fs.String("topology", "johannesburg", "target device: johannesburg, grid, line, clusters, full")
-		pipeline    = fs.String("pipeline", "trios", "pipeline: trios, baseline, groups, both, or all (both/all imply -stats)")
+		pipeline    = fs.String("pipeline", "trios", "pipeline: trios, baseline, or both (both implies -stats)")
 		mode        = fs.String("toffoli", "auto", "toffoli decomposition: auto, 6, 8")
 		routerKind  = fs.String("router", "direct", "routing strategy: direct, stochastic, or lookahead")
 		placement   = fs.String("placement", "greedy", "initial mapping: greedy, identity, random")
@@ -120,9 +120,6 @@ func run(args []string, out io.Writer) error {
 	switch *pipeline {
 	case "both":
 		pipes = []compiler.Pipeline{compiler.Conventional, compiler.TriosPipeline}
-		*stats = true
-	case "all":
-		pipes = []compiler.Pipeline{compiler.Conventional, compiler.TriosPipeline, compiler.GroupsPipeline}
 		*stats = true
 	default:
 		p, err := compiler.ParsePipeline(*pipeline)

@@ -18,7 +18,7 @@ import (
 )
 
 func TestCompileEveryBenchmarkEverywhere(t *testing.T) {
-	pipelines := []compiler.Pipeline{compiler.Conventional, compiler.TriosPipeline, compiler.GroupsPipeline}
+	pipelines := []compiler.Pipeline{compiler.Conventional, compiler.TriosPipeline}
 	for _, b := range benchmarks.All() {
 		src, err := b.Build()
 		if err != nil {

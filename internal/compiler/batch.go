@@ -216,8 +216,8 @@ type frontKey struct {
 
 // frontMode normalizes Options.Mode to the value that actually shapes the
 // front passes, so jobs whose fronts are identical share one cache entry:
-// the Trios and Groups fronts ignore the mode entirely, and the Conventional
-// front treats Auto as Six.
+// the Trios front ignores the mode entirely, and the Conventional front
+// treats Auto as Six.
 func frontMode(opts Options) decompose.ToffoliMode {
 	switch opts.Pipeline {
 	case Conventional:

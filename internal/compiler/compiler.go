@@ -33,19 +33,11 @@ const (
 	Conventional Pipeline = iota
 	// TriosPipeline is the split-decomposition flow (Fig. 2b).
 	TriosPipeline
-	// GroupsPipeline is the experimental §4 extension: multi-qubit gates of
-	// any arity stay intact through routing, their operands are gathered
-	// into one connected cluster, and the MCX is decomposed in place
-	// borrowing the nearest wires, with a Trios fixup pass afterwards.
-	GroupsPipeline
 )
 
 func (p Pipeline) String() string {
-	switch p {
-	case TriosPipeline:
+	if p == TriosPipeline {
 		return "trios"
-	case GroupsPipeline:
-		return "groups"
 	}
 	return "baseline"
 }

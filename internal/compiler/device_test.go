@@ -93,7 +93,7 @@ func TestUniformCostModelByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := topo.Johannesburg()
-	for _, pipe := range []Pipeline{Conventional, TriosPipeline, GroupsPipeline} {
+	for _, pipe := range []Pipeline{Conventional, TriosPipeline} {
 		for _, router := range []RouterKind{RouteDirect, RouteStochastic, RouteLookahead} {
 			opts := Options{Pipeline: pipe, Router: router, Placement: PlaceGreedy, Seed: 7}
 			plain, err := Compile(input, g, opts)

@@ -31,8 +31,6 @@ func legacyCompile(input *circuit.Circuit, g *topo.Graph, opts Options) (*Result
 		res, err = legacyCompileConventional(input, g, opts)
 	case TriosPipeline:
 		res, err = legacyCompileTrios(input, g, opts)
-	case GroupsPipeline:
-		res, err = legacyCompileGroups(input, g, opts)
 	default:
 		return nil, fmt.Errorf("compiler: unknown pipeline %d", int(opts.Pipeline))
 	}
@@ -144,50 +142,4 @@ func legacyCompileTrios(input *circuit.Circuit, g *topo.Graph, opts Options) (*R
 		}, nil
 	}
 	return nil, fmt.Errorf("compiler: unsupported toffoli mode %v", opts.Mode)
-}
-
-func legacyCompileGroups(input *circuit.Circuit, g *topo.Graph, opts Options) (*Result, error) {
-	kept, err := decompose.KeepMultiQubit(input)
-	if err != nil {
-		return nil, err
-	}
-	cm := opts.costModel()
-	init, err := initialLayout(kept, g, opts, cm)
-	if err != nil {
-		return nil, err
-	}
-	grouper := &route.Groups{Seed: opts.Seed}
-	routed, err := grouper.Route(kept, g, init)
-	if err != nil {
-		return nil, err
-	}
-	expanded, err := decompose.ExpandMCXNearby(routed.Circuit, g)
-	if err != nil {
-		return nil, err
-	}
-	fixRouter := &route.Trios{Seed: opts.Seed + 1}
-	fixed, err := fixRouter.Route(expanded, g, layout.Identity(g.NumQubits()))
-	if err != nil {
-		return nil, err
-	}
-	second, err := decompose.MappingAware(fixed.Circuit, g, decompose.Auto)
-	if err != nil {
-		return nil, err
-	}
-	physical, err := decompose.LowerToBasis(second)
-	if err != nil {
-		return nil, err
-	}
-	final := make([]int, g.NumQubits())
-	for v := 0; v < g.NumQubits(); v++ {
-		final[v] = fixed.Final.Phys(routed.Final.Phys(v))
-	}
-	return &Result{
-		Input:      input,
-		Physical:   physical,
-		Initial:    init.VirtualToPhys(),
-		Final:      final,
-		SwapsAdded: routed.SwapsAdded + fixed.SwapsAdded,
-		Graph:      g,
-	}, nil
 }

@@ -16,17 +16,15 @@ import (
 // a daemon request stays a transliteration of a command line: the two can
 // never accept different vocabularies.
 
-// ParsePipeline resolves a pipeline name: trios, baseline, or groups.
+// ParsePipeline resolves a pipeline name: trios or baseline.
 func ParsePipeline(s string) (Pipeline, error) {
 	switch s {
 	case "trios":
 		return TriosPipeline, nil
 	case "baseline":
 		return Conventional, nil
-	case "groups":
-		return GroupsPipeline, nil
 	}
-	return 0, fmt.Errorf("compiler: unknown pipeline %q (want trios, baseline, or groups)", s)
+	return 0, fmt.Errorf("compiler: unknown pipeline %q (want trios or baseline)", s)
 }
 
 // ParseRouter resolves a routing strategy: direct, stochastic, or lookahead.

@@ -228,35 +228,10 @@ func DecomposeKeepToffoli() Pass {
 	})
 }
 
-// DecomposeKeepMultiQubit keeps any-arity multi-qubit gates intact for group
-// routing — the experimental Groups pipeline's first stage.
-func DecomposeKeepMultiQubit() Pass {
-	return NewPass("decompose:keep-multiqubit", func(ctx *PassContext, c *circuit.Circuit) error {
-		out, err := decompose.KeepMultiQubit(c)
-		if err != nil {
-			return err
-		}
-		ctx.Circuit = out
-		return nil
-	})
-}
-
 // MappingAwarePass runs the second, placement-aware Toffoli decomposition.
 func MappingAwarePass(mode decompose.ToffoliMode) Pass {
 	return NewPass(fmt.Sprintf("decompose:mapping-aware(%v)", mode), func(ctx *PassContext, c *circuit.Circuit) error {
 		out, err := decompose.MappingAware(c, ctx.Graph, mode)
-		if err != nil {
-			return err
-		}
-		ctx.Circuit = out
-		return nil
-	})
-}
-
-// ExpandMCXPass expands routed MCX gates in place, borrowing nearby wires.
-func ExpandMCXPass() Pass {
-	return NewPass("decompose:expand-mcx", func(ctx *PassContext, c *circuit.Circuit) error {
-		out, err := decompose.ExpandMCXNearby(c, ctx.Graph)
 		if err != nil {
 			return err
 		}
@@ -312,7 +287,7 @@ func RoutePass(trioAware bool) Pass {
 }
 
 // incremental is a router that can route a circuit window by window
-// (route.Baseline, route.Trios and route.Groups).
+// (route.Baseline and route.Trios).
 type incremental interface {
 	Begin(g *topo.Graph, initial *layout.Layout) (*route.Session, error)
 }
@@ -353,30 +328,19 @@ func feed(s *route.Session, c *circuit.Circuit, g *topo.Graph) (*route.Result, e
 	}, nil
 }
 
-// GroupsRoutePass routes any-arity gate groups with the cluster router.
-func GroupsRoutePass() Pass {
-	return NewPass("route:groups", func(ctx *PassContext, c *circuit.Circuit) error {
-		grouper := &route.Groups{Seed: ctx.Opts.Seed}
-		routed, err := grouper.Route(c, ctx.Graph, ctx.Init)
-		if err != nil {
-			return err
-		}
-		ctx.Circuit = routed.Circuit
-		ctx.Final = routed.Final
-		ctx.SwapsAdded += routed.SwapsAdded
-		return nil
-	})
-}
-
-// FixupRoutePass patches gates a second decomposition left on non-adjacent
-// qubits: it routes the current circuit over physical positions in the
-// context's fixup session, which begin starts at the identity layout on
-// first use. finalPlacement composes the session's movement onto the main
-// route's placement.
-func FixupRoutePass(begin func(ctx *PassContext) (*route.Session, error)) Pass {
+// FixupRoutePass patches the non-adjacent CNOTs a forced 6-CNOT
+// decomposition leaves: it routes the current circuit over physical
+// positions in the context's fixup session, a pairwise router that starts
+// at the identity layout on first use. The session scores against the same
+// cost model as the main routing pass and is seeded with Seed+1 to
+// decorrelate it from that pass. finalPlacement composes its movement onto
+// the main route's placement.
+func FixupRoutePass() Pass {
 	return NewPass("route:fixup", func(ctx *PassContext, c *circuit.Circuit) error {
 		if ctx.fixup == nil {
-			s, err := begin(ctx)
+			w, oracle := routerWeights(ctx.costModel(), ctx.Graph)
+			r := &route.Baseline{Seed: ctx.Opts.Seed + 1, Weight: w, Oracle: oracle}
+			s, err := r.Begin(ctx.Graph, layout.Identity(ctx.Graph.NumQubits()))
 			if err != nil {
 				return err
 			}
@@ -403,26 +367,6 @@ func finalPlacement(main *layout.Layout, fixup *route.Session) []int {
 		}
 	}
 	return final
-}
-
-// baselineFixup is the Trios pipeline's fixup: a pairwise router that
-// patches the non-adjacent CNOTs a forced 6-CNOT decomposition leaves. It
-// scores against the same cost model as the main routing pass and is
-// seeded with Seed+1 to decorrelate it from the main routing pass.
-func baselineFixup(ctx *PassContext) (*route.Session, error) {
-	w, oracle := routerWeights(ctx.costModel(), ctx.Graph)
-	r := &route.Baseline{Seed: ctx.Opts.Seed + 1, Weight: w, Oracle: oracle}
-	return r.Begin(ctx.Graph, layout.Identity(ctx.Graph.NumQubits()))
-}
-
-// triosFixup is the Groups pipeline's fixup: a trio-aware router, seeded
-// with Seed+1, that patches the stray pairs and Toffolis of an in-place MCX
-// expansion. Like the Groups main router it is noise-blind (the
-// experimental pipeline has no weighted mode), so its output never depends
-// on the cost model.
-func triosFixup(ctx *PassContext) (*route.Session, error) {
-	r := &route.Trios{Seed: ctx.Opts.Seed + 1}
-	return r.Begin(ctx.Graph, layout.Identity(ctx.Graph.NumQubits()))
 }
 
 // ---- Optimize passes ----
@@ -550,19 +494,12 @@ func planPasses(opts Options) (*passPlan, error) {
 		case decompose.Six:
 			// Forced 6-CNOT: decompose, then patch non-adjacent CNOTs with a
 			// fixup routing pass over physical positions.
-			plan.after = append(plan.after, MappingAwarePass(decompose.Six), FixupRoutePass(baselineFixup))
+			plan.after = append(plan.after, MappingAwarePass(decompose.Six), FixupRoutePass())
 		case decompose.Auto, decompose.Eight:
 			plan.after = append(plan.after, MappingAwarePass(opts.Mode))
 		default:
 			return nil, fmt.Errorf("compiler: unsupported toffoli mode %v", opts.Mode)
 		}
-	case GroupsPipeline:
-		plan.front = append(plan.front, DecomposeKeepMultiQubit())
-		plan.route = GroupsRoutePass()
-		plan.after = append(plan.after,
-			ExpandMCXPass(),
-			FixupRoutePass(triosFixup),
-			MappingAwarePass(decompose.Auto))
 	default:
 		return nil, fmt.Errorf("compiler: unknown pipeline %d", int(opts.Pipeline))
 	}
@@ -667,6 +604,11 @@ func compileFrom(stdctx context.Context, span *obs.Span, cache *frontCache, j Jo
 	ctx := &PassContext{Ctx: stdctx, span: span, Graph: j.Graph, Opts: j.Opts, Cost: cm}
 	ctx.Circuit, ctx.Metrics, err = cache.get(j.Input, j.FrontKey, j.Opts, span)
 	if err != nil {
+		return nil, err
+	}
+	// The front may widen the program by a borrowed wire (see
+	// decompose.KeepToffoli), which the device must hold too.
+	if err := checkFits(ctx.Circuit.NumQubits, j.Graph); err != nil {
 		return nil, err
 	}
 	plan, err := planPasses(j.Opts)

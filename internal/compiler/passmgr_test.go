@@ -59,8 +59,7 @@ func TestPassManagerMatchesLegacyOnRegistry(t *testing.T) {
 }
 
 // TestPassManagerMatchesLegacyConfigs sweeps the design-choice grid —
-// routers, placements, Toffoli modes, and the Groups pipeline
-// — on one Toffoli-heavy benchmark.
+// routers, placements and Toffoli modes — on one Toffoli-heavy benchmark.
 func TestPassManagerMatchesLegacyConfigs(t *testing.T) {
 	b, err := benchmarks.ByName("grovers-9")
 	if err != nil {
@@ -78,7 +77,6 @@ func TestPassManagerMatchesLegacyConfigs(t *testing.T) {
 		{Pipeline: TriosPipeline, Router: RouteDirect, Placement: PlaceGreedy, Seed: 5},
 		{Pipeline: TriosPipeline, Mode: decompose.Six, Router: RouteStochastic, Placement: PlaceIdentity, Seed: 6},
 		{Pipeline: TriosPipeline, Mode: decompose.Eight, Router: RouteLookahead, Placement: PlaceRandom, Seed: 7},
-		{Pipeline: GroupsPipeline, Placement: PlaceGreedy, Seed: 9},
 	}
 	for i, opts := range cases {
 		got, err := Compile(c, g, opts)

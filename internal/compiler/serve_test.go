@@ -55,7 +55,7 @@ func TestCacheKeyStability(t *testing.T) {
 // TestParseHelpersRoundTrip pins the shared string→enum vocabulary to the
 // enums' own String forms where they exist, and rejects unknowns.
 func TestParseHelpersRoundTrip(t *testing.T) {
-	for _, p := range []Pipeline{Conventional, TriosPipeline, GroupsPipeline} {
+	for _, p := range []Pipeline{Conventional, TriosPipeline} {
 		got, err := ParsePipeline(p.String())
 		if err != nil || got != p {
 			t.Errorf("ParsePipeline(%q) = %v, %v", p.String(), got, err)

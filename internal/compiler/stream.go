@@ -58,13 +58,9 @@ type StreamResult struct {
 }
 
 // CheckStreamable reports why opts cannot be compiled window by window, or
-// nil if they can: only the Conventional and Trios pipelines with the
-// direct router stream (stochastic/lookahead routing and group clustering
-// are layer-based and need the whole circuit).
+// nil if they can: only the direct router streams (stochastic and lookahead
+// routing are layer-based and need the whole circuit).
 func CheckStreamable(opts Options) error {
-	if opts.Pipeline != Conventional && opts.Pipeline != TriosPipeline {
-		return fmt.Errorf("pipeline %v is not streamable", opts.Pipeline)
-	}
 	if opts.Router != RouteDirect {
 		return fmt.Errorf("router %v is not streamable (layer-based routers need the whole circuit)", opts.Router)
 	}
@@ -187,9 +183,18 @@ func (wc *windowed) Begin(n int) (int, sched.GateTimes, error) {
 	return wc.g.NumQubits(), times, nil
 }
 
-func (wc *windowed) Decompose(w *stream.Window) error { return wc.front.run(w) }
-func (wc *windowed) Route(w *stream.Window) error     { return wc.route.run(w) }
-func (wc *windowed) Lower(w *stream.Window) error     { return wc.back.run(w) }
+// Decompose runs the front passes on w and, as Compile does, checks that
+// the device holds the wires their output uses (a whole-register mcx
+// borrows one past the register).
+func (wc *windowed) Decompose(w *stream.Window) error {
+	if err := wc.front.run(w); err != nil {
+		return err
+	}
+	return checkFits(w.Circuit.NumQubits, wc.g)
+}
+
+func (wc *windowed) Route(w *stream.Window) error { return wc.route.run(w) }
+func (wc *windowed) Lower(w *stream.Window) error { return wc.back.run(w) }
 
 // Emitted tallies the window's reading and emission.
 func (wc *windowed) Emitted(w *stream.Window) {

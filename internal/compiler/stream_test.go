@@ -180,7 +180,8 @@ func TestStreamByteIdenticalAcrossDevices(t *testing.T) {
 
 // TestStreamByteIdenticalMatrix drills one device through the full option
 // matrix: both pipelines, the Six-mode fixup session, both seeds, serial
-// and pipelined drivers, every window size.
+// and pipelined drivers, every window size, and a program whose front
+// output widens by a borrowed wire.
 func TestStreamByteIdenticalMatrix(t *testing.T) {
 	src, err := qasm.Emit(mixedCircuit(18, 10000, 7))
 	if err != nil {
@@ -207,6 +208,21 @@ func TestStreamByteIdenticalMatrix(t *testing.T) {
 					opts.Seed = seed
 					streamGolden(t, src, g, opts)
 				}
+			}
+		}
+	}
+	// A whole-register mcx borrows a wire past the register, so the windows
+	// that cut this program leave the front at different widths.
+	wide := "qreg q[6];\nh q[0];\nmcx q[0],q[1],q[2],q[3],q[4],q[5];\ncx q[5],q[0];\n" +
+		"mcx q[5],q[4],q[3],q[2],q[1],q[0];\nccx q[0],q[1],q[2];\n"
+	for _, sh := range shapes {
+		for _, window := range []int{1, 2} {
+			for _, parallel := range []bool{false, true} {
+				opts := StreamOptions{Window: window, Parallel: parallel}
+				opts.Pipeline = sh.pipeline
+				opts.Mode = sh.mode
+				opts.Seed = 1
+				streamGolden(t, wide, g, opts)
 			}
 		}
 	}
@@ -335,19 +351,54 @@ func TestStreamGreedyPlacementPinned(t *testing.T) {
 	}
 }
 
-// TestStreamRejectsUnstreamable locks the facade's scope: group routing
-// and layer-based routers need the whole circuit and must be refused.
+// TestStreamRejectsUnstreamable locks the facade's scope: layer-based
+// routers need the whole circuit and must be refused.
 func TestStreamRejectsUnstreamable(t *testing.T) {
 	g := topo.Line(4)
 	src := "qreg q[2];\ncx q[0], q[1];\n"
 	bad := []StreamOptions{
-		func() StreamOptions { o := StreamOptions{}; o.Pipeline = GroupsPipeline; return o }(),
 		func() StreamOptions { o := StreamOptions{}; o.Router = RouteStochastic; return o }(),
 		func() StreamOptions { o := StreamOptions{}; o.Router = RouteLookahead; return o }(),
 	}
 	for _, opts := range bad {
 		if _, err := StreamCompile(context.Background(), strings.NewReader(src), &bytes.Buffer{}, g, opts); err == nil {
 			t.Fatalf("StreamCompile accepted unstreamable options %+v", opts)
+		}
+	}
+}
+
+// TestWholeRegisterMCXFitsOrFails: an mcx spanning its whole register
+// borrows the wire one past it. Where the device has that wire, both
+// pipelines compile it equivalently (dense check on a 6-qubit line); where
+// the register is as wide as the device, Compile and both stream drivers
+// return the fit error before any gate reaches a router.
+func TestWholeRegisterMCXFitsOrFails(t *testing.T) {
+	small := circuit.New(5)
+	small.MCX([]int{0, 1, 2, 3}, 4)
+	wide := circuit.New(20)
+	wide.MCX([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18}, 19)
+	src, err := qasm.Emit(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := topo.Johannesburg()
+	const fit = "circuit needs 21 qubits, device ibmq-johannesburg has 20"
+	for _, pipe := range []Pipeline{Conventional, TriosPipeline} {
+		res, err := Compile(small, topo.Line(6), Options{Pipeline: pipe})
+		if err != nil {
+			t.Fatalf("%v: %v", pipe, err)
+		}
+		verifyCompiled(t, res)
+		if _, err := Compile(wide, g, Options{Pipeline: pipe}); err == nil || !strings.Contains(err.Error(), fit) {
+			t.Fatalf("%v: Compile error %v, want %q", pipe, err, fit)
+		}
+		for _, parallel := range []bool{false, true} {
+			opts := StreamOptions{Parallel: parallel}
+			opts.Pipeline = pipe
+			_, err := StreamCompile(context.Background(), strings.NewReader(src), &bytes.Buffer{}, g, opts)
+			if err == nil || !strings.Contains(err.Error(), fit) {
+				t.Fatalf("%v parallel=%v: StreamCompile error %v, want %q", pipe, parallel, err, fit)
+			}
 		}
 	}
 }

@@ -12,7 +12,10 @@ import (
 // (Fig. 2b): it unrolls the input to one- and two-qubit gates *plus intact
 // CCX gates*. CCZ becomes CCX conjugated by H so the router only sees one
 // kind of trio. MCX gates are expanded into Toffolis using the circuit's
-// remaining wires as borrowed bits.
+// remaining wires as borrowed bits. An MCX with three or more controls that
+// spans the whole n-wire register borrows wire n, one past it, and the
+// output grows to n+1 wires; the borrowed wire is restored, so placement
+// may put it on any idle device qubit.
 func KeepToffoli(c *circuit.Circuit) (*circuit.Circuit, error) {
 	out := presized(c, func(n circuit.Name) int {
 		if n == circuit.CCZ {
@@ -31,6 +34,10 @@ func KeepToffoli(c *circuit.Circuit) (*circuit.Circuit, error) {
 			out.H(t)
 		case circuit.MCX:
 			borrowed := freeWires(c.NumQubits, g.Qubits)
+			if len(borrowed) == 0 && len(g.Qubits) > 3 {
+				borrowed = []int{c.NumQubits}
+				out.NumQubits = c.NumQubits + 1
+			}
 			if err := MCXBorrowed(out, g.Controls(), g.Target(), borrowed); err != nil {
 				return nil, fmt.Errorf("decompose: gate %d: %w", i, err)
 			}
@@ -39,81 +46,6 @@ func KeepToffoli(c *circuit.Circuit) (*circuit.Circuit, error) {
 		}
 	}
 	return out, nil
-}
-
-// KeepMultiQubit is the first pass of the experimental Groups pipeline (the
-// paper's §4 extension to gates of arity > 3): CCX *and* MCX survive to the
-// routing stage; only CCZ is normalized to CCX.
-func KeepMultiQubit(c *circuit.Circuit) (*circuit.Circuit, error) {
-	out := circuit.New(c.NumQubits)
-	for _, g := range c.Gates {
-		switch g.Name {
-		case circuit.CCZ:
-			t := g.Qubits[2]
-			out.H(t)
-			out.CCX(g.Qubits[0], g.Qubits[1], t)
-			out.H(t)
-		default:
-			out.Append(g)
-		}
-	}
-	return out, nil
-}
-
-// ExpandMCXNearby lowers every MCX of a routed physical circuit into
-// Toffolis, borrowing the dirty wires nearest to the gate's cluster (found
-// by breadth-first search from the operands). The resulting CCX/CX gates
-// may span non-adjacent pairs; a follow-up routing pass patches them.
-func ExpandMCXNearby(c *circuit.Circuit, g *topo.Graph) (*circuit.Circuit, error) {
-	out := circuit.New(c.NumQubits)
-	for i, gate := range c.Gates {
-		if gate.Name != circuit.MCX {
-			out.Append(gate)
-			continue
-		}
-		need := len(gate.Controls()) - 2
-		borrowed := nearestFreeWires(g, gate.Qubits, need)
-		if len(borrowed) < 1 && need > 0 {
-			return nil, fmt.Errorf("decompose: gate %d: no borrowable wire near mcx", i)
-		}
-		if err := MCXBorrowed(out, gate.Controls(), gate.Target(), borrowed); err != nil {
-			return nil, fmt.Errorf("decompose: gate %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// nearestFreeWires returns up to `want` physical qubits outside `used`,
-// ordered by hop distance from the used set.
-func nearestFreeWires(g *topo.Graph, used []int, want int) []int {
-	inUse := make(map[int]bool, len(used))
-	for _, q := range used {
-		inUse[q] = true
-	}
-	seen := make(map[int]bool, len(used))
-	queue := append([]int{}, used...)
-	for _, q := range used {
-		seen[q] = true
-	}
-	var free []int
-	for len(queue) > 0 && len(free) < want {
-		q := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.Neighbors(q) {
-			if seen[nb] {
-				continue
-			}
-			seen[nb] = true
-			if !inUse[nb] {
-				free = append(free, nb)
-				if len(free) == want {
-					break
-				}
-			}
-			queue = append(queue, nb)
-		}
-	}
-	return free
 }
 
 // ToffoliAll is the first decomposition pass of the conventional pipeline

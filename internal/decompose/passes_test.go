@@ -51,11 +51,24 @@ func TestKeepToffoliExpandsMCX(t *testing.T) {
 	}
 }
 
-func TestKeepToffoliMCXNoAncillaFails(t *testing.T) {
+// TestKeepToffoliMCXBorrowsPastRegister: an mcx that spans its whole
+// register borrows the wire one past it, and every basis state of all six
+// wires, that wire included, maps as the mcx maps it.
+func TestKeepToffoliMCXBorrowsPastRegister(t *testing.T) {
 	c := circuit.New(5)
 	c.MCX([]int{0, 1, 2, 3}, 4) // no free wire
-	if _, err := KeepToffoli(c); err == nil {
-		t.Error("expected error: no borrowable wire")
+	out, err := KeepToffoli(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.NumQubits != 6 || out.CountName(circuit.MCX) != 0 {
+		t.Fatalf("want the mcx expanded onto 6 wires, got %d wires and %d mcx", out.NumQubits, out.CountName(circuit.MCX))
+	}
+	want := circuit.New(6)
+	want.MCX([]int{0, 1, 2, 3}, 4)
+	ok, err := sim.SameClassicalFunction(want, out, 0)
+	if err != nil || !ok {
+		t.Fatalf("mcx expansion wrong: %v %v", ok, err)
 	}
 }
 

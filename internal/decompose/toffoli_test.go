@@ -151,3 +151,12 @@ func TestCCXGateSixIgnoresConnectivity(t *testing.T) {
 	ref.CCX(0, 1, 2)
 	mustEquivalent(t, ref, out, "forced six")
 }
+
+func TestToffoliModeString(t *testing.T) {
+	if Auto.String() != "auto" || Six.String() != "6-cnot" || Eight.String() != "8-cnot" {
+		t.Error("mode strings wrong")
+	}
+	if ToffoliMode(9).String() == "" {
+		t.Error("unknown mode should still render")
+	}
+}

@@ -36,14 +36,12 @@ func routerUnderTest(name string, seed int64) Router {
 		return &Trios{Seed: seed}
 	case "stochastic":
 		return &Stochastic{Seed: seed, TrioAware: true}
-	case "groups":
-		return &Groups{Seed: seed}
 	}
 	panic("unknown router")
 }
 
 func TestSwapReplayInvariantAllRouters(t *testing.T) {
-	names := []string{"baseline", "trios", "stochastic", "groups"}
+	names := []string{"baseline", "trios", "stochastic"}
 	graphs := []*topo.Graph{topo.Johannesburg(), topo.Line20(), topo.Grid5x4(), topo.Clusters5x4()}
 	rng := rand.New(rand.NewSource(3))
 	for _, name := range names {

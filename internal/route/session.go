@@ -42,18 +42,9 @@ func (t *Trios) Begin(g *topo.Graph, initial *layout.Layout) (*Session, error) {
 	return &Session{s: s, wide: trioGates}, nil
 }
 
-// Begin starts an incremental Groups-routing session.
-func (t *Groups) Begin(g *topo.Graph, initial *layout.Layout) (*Session, error) {
-	s, err := newState(g, initial, t.Seed, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{s: s, wide: groupGates}, nil
-}
-
-// routeWhole routes c as the one window of a session r begins: Baseline,
-// Trios and Groups route through the incremental path only, so windowed
-// and monolithic routing cannot drift apart.
+// routeWhole routes c as the one window of a session r begins: Baseline
+// and Trios route through the incremental path only, so windowed and
+// monolithic routing cannot drift apart.
 func routeWhole(r interface {
 	Begin(*topo.Graph, *layout.Layout) (*Session, error)
 }, c *circuit.Circuit, g *topo.Graph, initial *layout.Layout) (*Result, error) {
@@ -108,33 +99,27 @@ func (ss *Session) Finish() *Result { return ss.s.result() }
 type wideGates int
 
 const (
-	pairGates  wideGates = iota // none (Baseline)
-	trioGates                   // CCX, RCCX and RCCXdg as trios (Trios)
-	groupGates                  // CCX and MCX as clusters, RCCX and RCCXdg as trios (Groups)
+	pairGates wideGates = iota // none (Baseline)
+	trioGates                  // CCX, RCCX and RCCXdg as trios (Trios)
 )
 
 // refuse is the error for a gate w does not route, in its router's words.
 func (w wideGates) refuse(gate circuit.Gate, i int) error {
-	switch w {
-	case pairGates:
+	if w == pairGates {
 		return fmt.Errorf("route: baseline router cannot handle %d-qubit gate %v (gate %d); decompose first", len(gate.Qubits), gate.Name, i)
-	case trioGates:
-		return fmt.Errorf("route: trios router cannot handle gate %v (gate %d); first-pass decomposition should leave only 1q, 2q and ccx gates", gate.Name, i)
 	}
-	return fmt.Errorf("route: groups router cannot handle gate %v (gate %d)", gate.Name, i)
+	return fmt.Errorf("route: trios router cannot handle gate %v (gate %d); first-pass decomposition should leave only 1q, 2q and ccx gates", gate.Name, i)
 }
 
 // step routes one gate in program order and emits it: a pair moves until
-// adjacent, and the wide gates w accepts route as trios or clusters. i is
-// the absolute gate index, used only in error messages.
+// adjacent, and the wide gates w accepts route as trios. i is the absolute
+// gate index, used only in error messages.
 func (s *state) step(gate circuit.Gate, i int, w wideGates) error {
 	var err error
 	switch q := gate.Qubits; {
 	case gate.Name == circuit.Barrier || len(q) == 1:
 	case len(q) == 2:
 		err = s.routePair(q[0], q[1])
-	case w == groupGates && (gate.Name == circuit.CCX || gate.Name == circuit.MCX):
-		err = s.routeGroup(q)
 	case w != pairGates && trioGate(gate.Name):
 		err = s.routeTrio(gate)
 	default:

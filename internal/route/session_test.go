@@ -41,7 +41,7 @@ func randomRoutable(n, gates int, trios bool, rng *rand.Rand) *circuit.Circuit {
 // draining between windows, yields exactly the gates, final layout, and
 // swap count of a monolithic Route call (same seed, so the stochastic
 // tie-break RNG must consume the identical stream). It covers every router
-// with a session: Baseline, Trios and Groups.
+// with a session: Baseline and Trios.
 func TestSessionWindowedMatchesRoute(t *testing.T) {
 	type sessionRouter interface {
 		Router
@@ -54,7 +54,6 @@ func TestSessionWindowedMatchesRoute(t *testing.T) {
 	}{
 		{"baseline", false, &Baseline{Seed: 3}},
 		{"trios", true, &Trios{Seed: 3}},
-		{"groups", true, &Groups{Seed: 3}},
 	}
 	graphs := []*topo.Graph{topo.Line(7), topo.Ring(7), topo.Grid(2, 4)}
 	for _, g := range graphs {

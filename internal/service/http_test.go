@@ -93,6 +93,7 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"bad topology", `{"benchmark": "bv-20", "topology": "moebius"}`},
 		{"bad qasm", `{"qasm": "this is not qasm"}`},
 		{"optimizer field", `{"benchmark":"bv-20","optimizer":"legacy"}`},
+		{"groups pipeline", `{"benchmark":"bv-20","pipeline":"groups"}`},
 		{"duplicate barrier qubit", `{"qasm": "qreg q[2]; barrier q[0], q[0];", "topology": "line"}`},
 		{"non-finite parameter", `{"qasm": "qreg q[2]; rz(nan) q[0];", "topology": "line"}`},
 		{"overflowing parameter", `{"qasm": "qreg q[2]; rz(1e308*pi) q[0];", "topology": "line"}`},
@@ -122,11 +123,23 @@ func TestHTTPBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestHTTPUnprocessableCompile: a program the device cannot hold is a 422,
+// whether its register is too wide or a whole-register mcx needs a
+// borrowed wire past a register as wide as the device. The second is
+// placed by identity, which, unlike greedy placement, does not check the
+// width itself.
 func TestHTTPUnprocessableCompile(t *testing.T) {
 	_, ts := newTestServer(t)
-	resp := postCompile(t, ts, CompileRequest{QASM: "qreg q[25]; cx q[0], q[24];", Topology: "line", Seed: seedp(1)})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422", resp.StatusCode)
+	wide := "qreg q[20]; mcx q[0],q[1],q[2],q[3],q[4],q[5],q[6],q[7],q[8],q[9]," +
+		"q[10],q[11],q[12],q[13],q[14],q[15],q[16],q[17],q[18],q[19];"
+	for _, req := range []CompileRequest{
+		{QASM: "qreg q[25]; cx q[0], q[24];", Topology: "line", Seed: seedp(1)},
+		{QASM: wide, Topology: "line", Placement: "identity", Seed: seedp(1)},
+	} {
+		resp := postCompile(t, ts, req)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status = %d, want 422", req.QASM, resp.StatusCode)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ type CompileRequest struct {
 	QASM          string `json:"qasm,omitempty"`
 	Benchmark     string `json:"benchmark,omitempty"`
 	Topology      string `json:"topology,omitempty"`  // default "johannesburg"
-	Pipeline      string `json:"pipeline,omitempty"`  // trios | baseline | groups
+	Pipeline      string `json:"pipeline,omitempty"`  // trios | baseline
 	Toffoli       string `json:"toffoli,omitempty"`   // auto | 6 | 8
 	Router        string `json:"router,omitempty"`    // direct | stochastic | lookahead
 	Placement     string `json:"placement,omitempty"` // greedy | identity | random
